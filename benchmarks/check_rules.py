@@ -1,4 +1,4 @@
-"""CI self-lint: every registered lint rule is explainable and documented.
+"""CI self-lint: every registered lint rule and screen is documented.
 
 The lint engine's contract is that every ``DFxxx`` code a user can see
 in a diagnostic can also be looked up: ``repro lint --explain DFxxx``
@@ -9,9 +9,15 @@ summary-table row). This script walks both rule registries (concrete
 registered without holding up that contract — the failure mode this
 guards against is adding a new rule family and forgetting the docs.
 
+The screen registry (:data:`repro.screens.OPTIONS`) holds the same
+contract: every option off by default must have its ``dse`` and
+``tune`` flag with help text, and every option must have a row in the
+screens table of ``docs/observability.md``.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_rules.py [--docs docs/mapping-lints.md]
+    PYTHONPATH=src python benchmarks/check_rules.py \
+        [--docs docs/mapping-lints.md] [--screen-docs docs/observability.md]
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_DOCS = Path(__file__).resolve().parent.parent / "docs" / "mapping-lints.md"
+DEFAULT_SCREEN_DOCS = DEFAULT_DOCS.with_name("observability.md")
 
 
 def registered_codes() -> list:
@@ -70,17 +77,59 @@ def check(docs_path: Path) -> list:
     return failures
 
 
+def check_screens(docs_path: Path) -> list:
+    """Failure messages, empty when every registry option holds the contract."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.dse import explore
+    from repro.screens import OPTIONS
+
+    try:
+        docs_text = docs_path.read_text()
+    except OSError as error:
+        return [f"cannot read docs file {docs_path}: {error.strerror or error}"]
+
+    commands = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    ).choices
+    defaults = inspect.signature(explore).parameters
+    documented = set(re.findall(r"^\|\s*`(\w+)`\s*\|", docs_text, flags=re.MULTILINE))
+    failures = []
+    for option in OPTIONS:
+        if option.name not in documented:
+            failures.append(
+                f"screen {option.name}: no '| `{option.name}` |' row in {docs_path.name}"
+            )
+        if option.flag is None:
+            if defaults[option.keyword].default is not True:
+                failures.append(f"screen {option.name}: off by default but has no CLI flag")
+            continue
+        for command in ("dse", "tune"):
+            helps = {
+                flag: action.help
+                for action in commands[command]._actions
+                for flag in action.option_strings
+            }
+            if option.flag not in helps:
+                failures.append(f"screen {option.name}: '{command}' has no {option.flag} flag")
+            elif not (helps[option.flag] or "").strip():
+                failures.append(f"screen {option.name}: '{command} {option.flag}' has no help")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=Path, default=DEFAULT_DOCS)
+    parser.add_argument("--screen-docs", type=Path, default=DEFAULT_SCREEN_DOCS)
     args = parser.parse_args(argv)
 
     codes = registered_codes()
-    failures = check(args.docs)
+    failures = check(args.docs) + check_screens(args.screen_docs)
     if failures:
         print(
-            f"{len(failures)} rule-registry contract violation(s) "
-            f"across {len(codes)} registered rules:",
+            f"{len(failures)} registry contract violation(s) "
+            f"across {len(codes)} registered rules and the screens:",
             file=sys.stderr,
         )
         for message in failures:
@@ -88,7 +137,8 @@ def main(argv=None) -> int:
         return 1
     print(
         f"all {len(codes)} registered lint rules are explainable and "
-        f"documented in {args.docs.name}"
+        f"documented in {args.docs.name}; every screen has its flags and "
+        f"a row in {args.screen_docs.name}"
     )
     return 0
 

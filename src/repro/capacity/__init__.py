@@ -20,7 +20,8 @@ Consumers:
 - DF500-DF504 lints (:mod:`repro.lint.rules`) with fix-its;
 - ``repro analyze --capacity`` / ``repro lint --capacity`` views;
 - sound ``--capacity-prune`` for ``dse``/``tune``/``serve``
-  (:mod:`repro.capacity.prune`), bit-identical optima guaranteed.
+  (the capacity screen of :mod:`repro.screens`), bit-identical optima
+  guaranteed.
 """
 
 from repro.capacity.bounds import (

@@ -1,28 +1,12 @@
-"""Sound capacity pruning helpers for the DSE explorer and tuner.
+"""The buffer sizes the DSE provisions, from the certified capacity bounds.
 
 The explorer's ``fold_point`` provisions each surviving design's buffers
 from the engine-reported requirement (``l1 = max(l1_buffer_req, 1)``,
-``l2 = max(l2_buffer_req, 1)``) and rejects the point when the sized
-accelerator busts the area/power budget — *after* paying a full
-cost-model call. Because :func:`compute_capacity_bounds` reproduces
-those requirements bit-for-bit from the binding alone, the same
-rejection can be decided *before* evaluation: that is the
-``--capacity-prune`` screen.
-
-Soundness of the sub-region discards rests on two monotonicity facts:
-
-- the sized design's area/power is monotone in NoC bandwidth (the
-  :class:`~repro.hardware.area.AreaModel` bus/arbiter terms have
-  positive coefficients), so a reject at the smallest bandwidth rejects
-  the whole bandwidth row;
-- L1 occupancy is independent of the PE count and L2 occupancy is
-  non-decreasing in it (``avg_active = min(width, chunks/folds)`` only
-  grows with the array), while area/power are monotone in PE count —
-  so a reject at the smallest bandwidth also rejects every larger
-  array for the same mapping variant.
-
-Variants whose bounds cannot be certified (binding failure) are never
-pruned; they flow to the cost model exactly as without the screen.
+``l2 = max(l2_buffer_req, 1)``). Because :func:`compute_capacity_bounds`
+reproduces those requirements bit-for-bit from the binding alone,
+:func:`capacity_requirements` knows the sizes before any cost-model
+call. The ``--capacity-prune`` screen that decides on them, and its
+soundness argument, live in :mod:`repro.screens`.
 """
 
 from __future__ import annotations

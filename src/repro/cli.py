@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.adaptive import adaptive_analysis
 from repro.dataflow.dataflow import Dataflow
@@ -66,6 +66,7 @@ from repro.dataflow.parser import parse_dataflow
 from repro.engines.analysis import analyze_layer
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.zoo import MODELS, build
+from repro.screens import OPTIONS, enabled_rejects
 from repro.util.text_table import format_table
 
 
@@ -569,6 +570,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pruners(args: argparse.Namespace) -> Dict[str, bool]:
+    """The pruning keywords the ``dse``/``tune`` flags set."""
+    return {option.keyword: getattr(args, option.keyword) for option in OPTIONS if option.flag}
+
+
 def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.dse import explore
     from repro.dse.space import (
@@ -597,16 +603,12 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         space,
         area_budget=args.area,
         power_budget=args.power,
-        verify_coverage=args.verify_coverage,
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
-        symbolic_prune=args.symbolic_prune,
         spatial_reduction=not args.no_spatial_reduction,
         noc_multicast=not args.no_multicast,
-        comm_prune=args.comm_prune,
-        equiv_prune=args.equiv_prune,
-        capacity_prune=args.capacity_prune,
+        **_pruners(args),
     )
     stats = result.statistics
     print(
@@ -629,8 +631,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             evaluated=stats.evaluated,
             cost_model_calls=stats.cost_model_calls,
             cache_hits=stats.cache_hits,
-            pruned_lint=stats.static_rejects,
-            pruned_verify=stats.coverage_rejects,
+            pruned=enabled_rejects("dse", stats, _pruners(args)),
             wall_seconds=stats.elapsed_seconds,
         )
     )
@@ -667,14 +668,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         max_l1_bytes=args.max_l1,
         max_l2_bytes=args.max_l2,
-        verify_coverage=args.verify_coverage,
-        symbolic_prune=args.symbolic_prune,
-        comm_prune=args.comm_prune,
-        equiv_prune=args.equiv_prune,
-        capacity_prune=args.capacity_prune,
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
+        **_pruners(args),
     )
     rows = [
         [
@@ -709,8 +706,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             evaluated=result.evaluated,
             cost_model_calls=result.cost_model_calls,
             cache_hits=result.cache_hits,
-            pruned_lint=result.statically_rejected,
-            pruned_verify=result.coverage_rejected,
+            pruned=enabled_rejects("tuner", result, _pruners(args)),
             wall_seconds=result.elapsed_seconds,
         )
     )
@@ -788,7 +784,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``maestro-repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="maestro-repro",
         description="MAESTRO reproduction: DNN dataflow cost analysis",
@@ -800,21 +797,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--bandwidth", type=int, default=32, help="NoC elems/cycle")
         p.add_argument("--latency", type=int, default=2, help="NoC average latency")
 
-    def add_verify_coverage(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--verify-coverage",
-            action="store_true",
-            help="soundly prune mappings the iteration-space verifier "
-            "refutes (proven missed/double-counted MACs)",
-        )
-
-    def add_symbolic_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--symbolic-prune",
-            action="store_true",
-            help="soundly skip cost-model calls using interval bounds from "
-            "the symbolic abstract interpreter (optima are bit-identical)",
-        )
+    def add_pruners(p: argparse.ArgumentParser) -> None:
+        for option in OPTIONS:
+            if option.flag:
+                p.add_argument(
+                    option.flag, dest=option.keyword, action="store_true", help=option.help
+                )
 
     def add_comm_caps(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -828,34 +816,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             action="store_true",
             help="model a unicast-only NoC without fan-out wiring "
             "(multicast tensors trigger DF301 duplication warnings)",
-        )
-
-    def add_comm_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--comm-prune",
-            action="store_true",
-            help="on hardware without spatial-reduction support, soundly "
-            "skip mappings the communication classifier proves write-racy "
-            "(DF300); on reduction-capable hardware the screen never runs, "
-            "so optima are bit-identical",
-        )
-
-    def add_equiv_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--equiv-prune",
-            action="store_true",
-            help="evaluate one representative per canonical-form "
-            "equivalence class and replay its result to the symmetric "
-            "twins (repro.equiv; optima are bit-identical)",
-        )
-
-    def add_capacity_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--capacity-prune",
-            action="store_true",
-            help="soundly skip cost-model calls using the certified "
-            "occupancy bounds from the static capacity analyzer "
-            "(repro.capacity; optima are bit-identical)",
         )
 
     def add_backend(p: argparse.ArgumentParser) -> None:
@@ -1059,12 +1019,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_dse.add_argument("--power", type=float, default=450.0, help="mW budget")
     p_dse.add_argument("--max-pes", type=int, default=512)
     p_dse.add_argument("--pe-step", type=int, default=8)
-    add_verify_coverage(p_dse)
-    add_symbolic_prune(p_dse)
     add_comm_caps(p_dse)
-    add_comm_prune(p_dse)
-    add_equiv_prune(p_dse)
-    add_capacity_prune(p_dse)
+    add_pruners(p_dse)
     add_backend(p_dse)
     add_obs(p_dse)
     p_dse.set_defaults(func=_cmd_dse)
@@ -1090,11 +1046,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_hw(p_tune)
     add_comm_caps(p_tune)
-    add_verify_coverage(p_tune)
-    add_symbolic_prune(p_tune)
-    add_comm_prune(p_tune)
-    add_equiv_prune(p_tune)
-    add_capacity_prune(p_tune)
+    add_pruners(p_tune)
     add_backend(p_tune)
     add_obs(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
@@ -1190,8 +1142,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="enable POST /admin/shutdown (CI smoke lanes)",
     )
     p_serve.set_defaults(func=_cmd_serve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -6,7 +6,9 @@ For every (PEs, bandwidth, dataflow-variant) triple the explorer:
    if PEs + NoC alone exceed the budget, every buffer choice above them
    does too, so the whole subspace is skipped (the optimization behind
    the paper's 0.17M designs/second effective rate);
-2. rejects statically unbindable mappings via the lint engine;
+2. rejects, through the sound screens of :mod:`repro.screens`, points
+   the sweep would discard anyway (unbindable, refuted, write-racy or
+   over-budget mappings);
 3. evaluates every surviving candidate through the batch-evaluation
    backend (:mod:`repro.exec`): memoized against previous sweeps and,
    for large miss sets, fanned out over worker processes — results are
@@ -20,27 +22,35 @@ For every (PEs, bandwidth, dataflow-variant) triple the explorer:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.dataflow.dataflow import Dataflow
 from repro.dse.space import DesignPoint, DesignSpace
-from repro.errors import DataflowError
-from repro.exec import AnalysisCache, BatchEvaluator, EvalPoint
+from repro.exec import AnalysisCache, BatchEvaluator, EvalOutcome, EvalPoint
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.hardware.area import DEFAULT_AREA_MODEL, AreaModel
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
-from repro.lint.engine import required_pes, static_errors
+from repro.lint.engine import static_errors  # noqa: F401 - traced by name (perfbench/ledger.py)
 from repro.model.layer import Layer
+from repro.screens import ScreenContext, ScreenRunner, equiv_quotient
 from repro.util.pareto import pareto_front
+
+#: One grid point that reaches the cost model: (tile label, dataflow,
+#: the point's hardware).
+_Candidate = Tuple[str, Dataflow, Accelerator]
+#: A candidate with its enumeration index.
+_Indexed = Tuple[int, _Candidate]
 
 
 @dataclass(frozen=True)
 class DSEStatistics:
     """Sweep statistics, the paper's Figure 13(c) table.
 
-    ``pruned`` includes ``static_rejects``: mapping×hardware points the
-    static mapping analyzer rejected without a cost-model run.
+    ``pruned`` includes every screen's rejects (``static_rejects``,
+    ``coverage_rejects``, ``comm_rejects``, ``capacity_rejects``; see
+    :mod:`repro.screens`): points rejected without a cost-model run.
     ``cost_model_calls`` counts the points that needed a cost-model
     answer — memoized (``cache_hits``) or freshly evaluated (including
     evaluations that were rejected by binding) — so the lint pruning win
@@ -77,18 +87,13 @@ class DSEStatistics:
     #: Points inside hardware regions dominated by the incumbents on
     #: every objective simultaneously (interval upper/lower bounds).
     bnb_pruned: int = 0
-    #: Points whose mapping the communication classifier proved to race
-    #: (spatially mapped reduction on reduction-free hardware) under
-    #: ``comm_prune``; zero whenever the hardware supports reduction.
+    #: Points the comm screen rejected (``comm_prune``).
     comm_rejects: int = 0
     #: Points answered by replaying an equivalence-class representative's
     #: outcome (``equiv_prune``): same canonical key at the same grid
     #: point, so the cost model's answer is provably identical.
     equiv_replays: int = 0
-    #: Points whose requirement-sized design provably busts the budget
-    #: (``capacity_prune``): the static occupancy bounds reproduce the
-    #: engine's buffer requirements bit-for-bit, so the fold-time
-    #: area/power rejection is decided before any cost-model call.
+    #: Points the capacity screen rejected (``capacity_prune``).
     capacity_rejects: int = 0
 
     @property
@@ -138,190 +143,88 @@ def explore(
 ) -> DSEResult:
     """Sweep ``space`` for ``layer`` under the given budgets.
 
-    With ``static_lint`` (the default) every dataflow variant is checked
-    once by the static mapping analyzer; points whose mapping cannot
-    bind (wrong sizes, duplicated dims, cluster hierarchy larger than
-    the PE array) are counted into ``pruned`` without paying a
-    cost-model evaluation. The check is binding-equivalent, so the
-    surviving set — and therefore every optimum — is identical to a
-    sweep with ``static_lint=False``.
-
-    With ``verify_coverage`` the iteration-space verifier
-    (:mod:`repro.verify`) additionally checks each variant once against
-    the layer and prunes variants *proven* not to cover the compute
-    space exactly once (``coverage_rejects``). The pruning is sound:
-    only mappings refuted with a concrete missed or double-counted MAC
-    are dropped, so the optima over *correct* mappings are unchanged
-    (and bit-identical when every variant is sound).
+    Before any cost-model call, each grid point runs through the sound
+    screens of :mod:`repro.screens`, in registry order: ``static_lint``
+    (on by default), ``verify_coverage``, ``comm_prune`` (only on
+    hardware without ``spatial_reduction``) and ``capacity_prune``. Each
+    rejects only points the sweep would discard anyway, so the valid
+    set, Pareto front and optima are bit-identical with or without it;
+    the argument for each is on its registry entry. Rejects count into
+    ``pruned`` and into the screen's own statistics field.
 
     ``executor``/``jobs``/``cache`` configure the batch-evaluation
     backend (:mod:`repro.exec`); every combination returns bit-identical
     results, so they are pure performance knobs. Grid-shaped sweeps
     auto-select the ``vector`` executor, which evaluates a whole
     hardware grid per (layer, dataflow) through the NumPy engine
-    (:mod:`repro.vector`); pruning passes compose with it by shrinking
-    the groups before they reach the backend.
+    (:mod:`repro.vector`); the screens compose with it by shrinking the
+    groups before they reach the backend.
 
-    With ``symbolic_prune`` the sweep runs a sound branch-and-bound over
-    the hardware grid: candidates are grouped into regions of up to
-    ``symbolic_block`` consecutive PE counts per (variant, bandwidth),
-    each region is abstract-interpreted once with the PE count as an
-    interval (:mod:`repro.absint`), and the region is discarded without
-    any cost-model call when either (a) its interval *lower-bound*
-    area/power already busts the budget — no point inside could become
-    a valid design — or (b) its interval bounds are beaten by the
+    With ``equiv_prune`` the mapping axis is quotiented by
+    :func:`repro.screens.equiv_quotient`: at every (PEs, bandwidth) grid
+    point only one representative per equivalence class pays a
+    cost-model call, and the other members replay its outcome
+    (``equiv_replays``), provably equal to what the cost model would
+    have returned.
+
+    With ``symbolic_prune`` the surviving representatives go through a
+    sound branch-and-bound over the hardware grid: candidates are
+    grouped into regions of up to ``symbolic_block`` PE counts per
+    (variant, bandwidth), each region is abstract-interpreted once with
+    the PE count as an interval (:mod:`repro.absint`), and the region is
+    discarded without any cost-model call when either (a) its interval
+    *lower-bound* area/power already busts the budget
+    (``symbolic_rejects``) or (b) its interval bounds are beaten by the
     running incumbents on throughput, energy, *and* EDP simultaneously
-    — no point inside could become an optimum. Because the interval
-    bounds enclose every concrete outcome in the region (and dominance
-    is strict), the three reported optima are bit-identical to the
-    exhaustive sweep; only the Pareto set may lose dominated interior
-    points. Regions the abstract engine cannot certify (partial binding
-    failures) are never pruned.
+    (``bnb_pruned``). Because the interval bounds enclose every concrete
+    outcome in the region (and dominance is strict), the three reported
+    optima are bit-identical to the exhaustive sweep; only the Pareto
+    set may lose dominated interior points. Regions the abstract engine
+    cannot certify are never pruned. A replay takes its
+    representative's fate.
 
     ``spatial_reduction`` and ``noc_multicast`` set the communication
-    capabilities of every swept accelerator (the Table 5 switches). With
-    ``comm_prune`` on *reduction-free* hardware
-    (``spatial_reduction=False``), each variant is probe-classified once
-    by the communication analyzer (:mod:`repro.comm`) and grid points
-    where the mapping spatially maps a reduction-carried dimension —
-    i.e. would race its output writes, the DF300 hazard — are rejected
-    (``comm_rejects``) before any cost-model call. The screen factors
-    the classification by PE count (inner-level races are PE-count
-    independent; a top-level race needs two or more top clusters), so
-    one probe decides every grid point. On reduction-capable hardware
-    the screen is inert by construction, so optima are bit-identical
-    with or without ``comm_prune``; variants the classifier cannot bind
-    or classify are never pruned.
-
-    With ``equiv_prune`` the mapping axis is quotiented by the
-    equivalence analyzer (:mod:`repro.equiv`): each variant's canonical
-    form is computed once, and at every (PEs, bandwidth) grid point only
-    one representative per equivalence class pays a cost-model call —
-    the other members replay its outcome (``equiv_replays``). Classes
-    use the exact canonical key, extended to the symmetry orbit only
-    where the integer-activity certificate proves transposed twins
-    bit-identical, so every replayed outcome is provably equal to what
-    the cost model would have returned and all optima are bit-identical
-    to the unquotiented sweep. Variants the analyzer cannot certify fall
-    back to raw-spelling identity and are never grouped beyond it. The
-    quotient applies to the exhaustive sweep; under ``symbolic_prune``
-    the branch-and-bound's region machinery takes precedence and the
-    quotient is not applied.
-
-    With ``capacity_prune`` each surviving candidate is screened by the
-    static occupancy analyzer (:mod:`repro.capacity`) before entering
-    the cost model: the analyzer reproduces the engine's buffer
-    requirements bit-for-bit from the binding alone, so the
-    requirement-sized design's area/power — exactly what ``fold_point``
-    checks after evaluation — is known up front, and points that would
-    be folded away are rejected (``capacity_rejects``) without a
-    cost-model call. Because the decision replicates the fold check on
-    identical values, the valid set, Pareto front, and optima are
-    bit-identical with or without the screen. Two monotonicity facts
-    let one rejection discard whole sub-regions: area/power grow with
-    NoC bandwidth (a reject at the smallest bandwidth rejects the row)
-    and with PE count while the L2 requirement never shrinks with it
-    (a smallest-bandwidth reject covers every larger array for the same
-    variant). Candidates whose bounds cannot be certified are never
-    pruned.
+    capabilities of every swept accelerator (the Table 5 switches).
     """
     start = time.perf_counter()
-    explored = pruned = static_rejects = coverage_rejects = comm_rejects = 0
-    capacity_rejects = 0
+    explored = pruned = 0
 
-    def make_noc(bandwidth: int) -> NoC:
-        return NoC(
-            bandwidth=bandwidth, avg_latency=noc_latency, multicast=noc_multicast
-        )
+    def size(
+        accelerator: Accelerator, l1_req: int, l2_req: int
+    ) -> Optional[Tuple[Accelerator, float, float]]:
+        """The requirement-sized design, its area and power; ``None`` over budget."""
+        design = replace(accelerator, l1_size=max(l1_req, 1), l2_size=max(l2_req, 1))
+        area = area_model.area(design)
+        power = area_model.power(design)
+        if area > area_budget or power > power_budget:
+            return None
+        return design, area, power
 
-    # One static pass per variant: the layer-only lint verdict and the
-    # PE demand of the cluster hierarchy (compared per PE count below).
-    variant_lint: dict = {}
-    if static_lint:
-        with obs.span("dse.static_screen"):
-            for label, dataflow in space.dataflow_variants:
-                try:
-                    needed = required_pes(dataflow, layer)
-                except DataflowError:
-                    variant_lint[(label, dataflow.name)] = (True, 0)
-                    continue
-                errors = static_errors(dataflow, layer)
-                variant_lint[(label, dataflow.name)] = (bool(errors), needed)
-
-    # One coverage verification per variant (the layer is fixed, so the
-    # verdict is independent of the hardware grid): refuted variants are
-    # pruned from every grid point they would have occupied.
-    variant_refuted: dict = {}
-    if verify_coverage:
-        with obs.span("dse.verify_screen"):
-            from repro.verify import Verdict, verify_dataflow
-
-            for label, dataflow in space.dataflow_variants:
-                key = (label, dataflow.name)
-                if static_lint and variant_lint.get(key, (False, 0))[0]:
-                    continue  # already rejected statically
-                try:
-                    result = verify_dataflow(dataflow, layer)
-                except Exception:
-                    continue  # never let verification break the sweep
-                variant_refuted[key] = result.verdict is Verdict.REFUTED
-
-    # One communication probe per variant: only meaningful (and only
-    # run) when the swept hardware lacks spatial reduction, so the
-    # screen cannot touch a capable-hardware sweep. A probe that cannot
-    # classify (binding failure, exotic mapping) yields no demand and
-    # never prunes.
-    variant_demand: dict = {}
-    if comm_prune and not spatial_reduction:
-        with obs.span("dse.comm_screen"):
-            from repro.comm import reduction_demand
-
-            for label, dataflow in space.dataflow_variants:
-                key = (label, dataflow.name)
-                if static_lint and variant_lint.get(key, (False, 0))[0]:
-                    continue  # already rejected statically
-                if verify_coverage and variant_refuted.get(key):
-                    continue  # already rejected by the verifier
-                try:
-                    variant_demand[key] = reduction_demand(dataflow, layer)
-                except Exception:
-                    continue  # never let classification break the sweep
-
-    # One canonical form per variant (layer fixed, so the form — and the
-    # layer's symmetry group — are independent of the hardware grid).
-    # Only the orbit extension depends on the PE count, decided per grid
-    # point below by the integer-activity certificate.
-    variant_form: dict = {}
-    equiv_symmetries: tuple = ()
-    if equiv_prune and not symbolic_prune:
-        with obs.span("dse.equiv_screen"):
-            from repro.equiv import canonicalize, layer_symmetries
-
-            equiv_symmetries = layer_symmetries(layer)
-            for label, dataflow in space.dataflow_variants:
-                variant_form[(label, dataflow.name)] = canonicalize(dataflow, layer)
-
-    # Capacity screen state: the requirement-sized (l1, l2) per
-    # (variant, PE count) — bandwidth-independent, since the occupancy
-    # bounds never read the NoC — plus, per variant, the smallest PE
-    # count rejected at the minimum bandwidth. Area/power are monotone
-    # in bandwidth and PE count while the L2 requirement never shrinks
-    # with the array, so every point at or above that floor is rejected
-    # without re-binding.
-    capacity_sizes: dict = {}
-    capacity_reject_floor: dict = {}
-    if capacity_prune:
-        from repro.capacity import capacity_requirements
+    screens = ScreenRunner(
+        "dse",
+        ScreenContext(
+            layer,
+            energy_model,
+            reduction_support=spatial_reduction,
+            over_budget=lambda accelerator, l1, l2: size(accelerator, l1, l2) is None,
+        ),
+        {
+            "static_lint": static_lint,
+            "verify_coverage": verify_coverage,
+            "comm_prune": comm_prune,
+            "capacity_prune": capacity_prune,
+        },
+    )
 
     # ------------------------------------------------------------------
     # Phase 1 — enumerate: classify every grid point as budget-pruned,
-    # statically rejected, or a candidate for the cost model.
+    # rejected by a screen, or a candidate for the cost model.
     # ------------------------------------------------------------------
-    candidates: List[Tuple[int, int, str, object]] = []  # (pes, bw, label, flow)
+    candidates: List[_Candidate] = []
     with obs.span("dse.enumerate"):
+        min_bw = min(space.noc_bandwidths)
         for num_pes in space.pe_counts:
             # Prune the whole PE row if even the cheapest NoC busts the budget.
-            min_bw = min(space.noc_bandwidths)
             if (
                 area_model.min_area(num_pes, min_bw) > area_budget
                 or area_model.min_power(num_pes, min_bw) > power_budget
@@ -337,96 +240,32 @@ def explore(
                     pruned += len(space.dataflow_variants)
                     explored += len(space.dataflow_variants)
                     continue
+                accelerator = Accelerator(
+                    num_pes=num_pes,
+                    noc=NoC(bandwidth=bandwidth, avg_latency=noc_latency, multicast=noc_multicast),
+                    spatial_reduction=spatial_reduction,
+                )
                 for label, dataflow in space.dataflow_variants:
                     explored += 1
-                    if static_lint:
-                        bad, needed = variant_lint[(label, dataflow.name)]
-                        if bad or needed > num_pes:
-                            pruned += 1
-                            static_rejects += 1
-                            continue
-                    if verify_coverage and variant_refuted.get((label, dataflow.name)):
+                    if screens.reject((label, dataflow.name), dataflow, accelerator):
                         pruned += 1
-                        coverage_rejects += 1
-                        continue
-                    demand = variant_demand.get((label, dataflow.name))
-                    if demand is not None and demand.races_on(num_pes):
-                        pruned += 1
-                        comm_rejects += 1
-                        continue
-                    if capacity_prune:
-                        floor = capacity_reject_floor.get((label, dataflow.name))
-                        if floor is not None and num_pes >= floor:
-                            # Rejected at (floor, min_bw): area/power are
-                            # monotone in PEs and bandwidth, L1 is
-                            # PE-independent, and L2 never shrinks as the
-                            # array grows, so this point busts the budget
-                            # too — even without re-binding.
-                            pruned += 1
-                            capacity_rejects += 1
-                            continue
-                        size_key = (label, dataflow.name, num_pes)
-                        if size_key not in capacity_sizes:
-                            capacity_sizes[size_key] = capacity_requirements(
-                                dataflow,
-                                layer,
-                                Accelerator(
-                                    num_pes=num_pes,
-                                    noc=make_noc(bandwidth),
-                                    spatial_reduction=spatial_reduction,
-                                ),
-                            )
-                        sizes = capacity_sizes[size_key]
-                        if sizes is not None:
-                            sized = Accelerator(
-                                num_pes=num_pes,
-                                l1_size=sizes[0],
-                                l2_size=sizes[1],
-                                noc=make_noc(bandwidth),
-                                spatial_reduction=spatial_reduction,
-                            )
-                            if (
-                                area_model.area(sized) > area_budget
-                                or area_model.power(sized) > power_budget
-                            ):
-                                pruned += 1
-                                capacity_rejects += 1
-                                if bandwidth == min_bw:
-                                    capacity_reject_floor[
-                                        (label, dataflow.name)
-                                    ] = min(
-                                        capacity_reject_floor.get(
-                                            (label, dataflow.name), num_pes
-                                        ),
-                                        num_pes,
-                                    )
-                                continue
-                    candidates.append((num_pes, bandwidth, label, dataflow))
+                    else:
+                        candidates.append((label, dataflow, accelerator))
 
-    def fold_point(
-        num_pes: int, bandwidth: int, label: str, dataflow, report
-    ) -> Optional[DesignPoint]:
+    def fold_point(candidate: _Candidate, report) -> Optional[DesignPoint]:
         """Size the buffers, apply the budget, build the design point."""
-        l1 = max(report.l1_buffer_req, 1)
-        l2 = max(report.l2_buffer_req, 1)
-        sized = Accelerator(
-            num_pes=num_pes,
-            l1_size=l1,
-            l2_size=l2,
-            noc=make_noc(bandwidth),
-            spatial_reduction=spatial_reduction,
-        )
-        area = area_model.area(sized)
-        power = area_model.power(sized)
-        if area > area_budget or power > power_budget:
+        label, dataflow, accelerator = candidate
+        sized = size(accelerator, report.l1_buffer_req, report.l2_buffer_req)
+        if sized is None:
             return None
+        design, area, power = sized
         return DesignPoint(
-            num_pes=num_pes,
-            noc_bandwidth=bandwidth,
+            num_pes=design.num_pes,
+            noc_bandwidth=design.noc.bandwidth,
             dataflow_name=dataflow.name,
             tile_label=label,
-            l1_size=l1,
-            l2_size=l2,
+            l1_size=design.l1_size,
+            l2_size=design.l2_size,
             area=area,
             power=power,
             throughput=report.throughput,
@@ -435,82 +274,65 @@ def explore(
         )
 
     # ------------------------------------------------------------------
-    # Phase 2 — evaluate the candidates through the batch backend,
-    # either exhaustively or region-by-region under the symbolic
-    # branch-and-bound. Valid points are collected with their original
-    # enumeration index so the final fold order is identical either way.
+    # Phase 2 — evaluate one representative per equivalence class
+    # through the batch backend, either exhaustively or region-by-region
+    # under the symbolic branch-and-bound, then replay the twins. Valid
+    # points are collected with their original enumeration index so the
+    # final fold order is identical either way.
     # ------------------------------------------------------------------
+    replay_of: Dict[int, int] = {}
+    if equiv_prune:
+        replay_of = equiv_quotient(
+            "dse",
+            layer,
+            (
+                ((label, dataflow.name), dataflow, acc.num_pes, (acc.num_pes, acc.noc.bandwidth))
+                for label, dataflow, acc in candidates
+            ),
+        )
+    representatives = [
+        (index, candidate)
+        for index, candidate in enumerate(candidates)
+        if index not in replay_of
+    ]
     evaluator = BatchEvaluator(executor=executor, jobs=jobs, cache=cache)
     indexed_points: List[Tuple[int, DesignPoint]] = []
-    evaluated = 0
-    symbolic_rejects = bnb_pruned = 0
-    calls_submitted = cache_hits = 0
-    equiv_replays = 0
+    outcome_at: Dict[int, EvalOutcome] = {}
+    fate: Dict[int, str] = {}  # skipped representative -> its statistics field
+    evaluated = calls_submitted = cache_hits = 0
     executor_name = "serial"
     eval_wall = 0.0
+    # The running incumbents the branch-and-bound tests regions against.
+    interim: Dict[str, Optional[DesignPoint]] = {"throughput": None, "energy": None, "edp": None}
 
-    if not symbolic_prune:
-        # Under equiv_prune, pick one representative per (PEs, bandwidth,
-        # equivalence class); the other members replay its outcome. The
-        # orbit key is used only where the integer-activity certificate
-        # proves transposed twins bit-identical at that PE count.
-        eval_indices = list(range(len(candidates)))
-        replay_of: dict = {}  # candidate index -> representative index
-        if variant_form:
-            from repro.equiv import integral_active, orbit_key
-
-            representatives: dict = {}
-            eval_indices = []
-            for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
-                form = variant_form[(label, dataflow.name)]
-                class_key = form.key
-                if equiv_symmetries and integral_active(form, num_pes):
-                    class_key = orbit_key(class_key, equiv_symmetries)
-                group = (num_pes, bandwidth, class_key)
-                representative = representatives.get(group)
-                if representative is None:
-                    representatives[group] = index
-                    eval_indices.append(index)
-                else:
-                    replay_of[index] = representative
-            equiv_replays = len(replay_of)
-            obs.inc("dse.pruned_by_equiv", equiv_replays)
-
-        with obs.span("dse.evaluate", candidates=len(eval_indices)):
-            batch = evaluator.evaluate(
-                EvalPoint(
-                    layer=layer,
-                    dataflow=candidates[index][3],
-                    accelerator=Accelerator(
-                        num_pes=candidates[index][0],
-                        noc=make_noc(candidates[index][1]),
-                        spatial_reduction=spatial_reduction,
-                    ),
-                    energy_model=energy_model,
-                )
-                for index in eval_indices
+    def evaluate(indexed: List[_Indexed]) -> None:
+        nonlocal evaluated, calls_submitted, cache_hits, executor_name, eval_wall
+        batch = evaluator.evaluate(
+            EvalPoint(
+                layer=layer, dataflow=dataflow, accelerator=accelerator, energy_model=energy_model
             )
-        calls_submitted = batch.stats.submitted
-        cache_hits = batch.stats.cache_hits
+            for _, (_, dataflow, accelerator) in indexed
+        )
+        calls_submitted += batch.stats.submitted
+        cache_hits += batch.stats.cache_hits
         executor_name = batch.stats.executor
-        eval_wall = batch.stats.wall_seconds
-        outcome_at = dict(zip(eval_indices, batch))
+        eval_wall += batch.stats.wall_seconds
         with obs.span("dse.fold"):
-            for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
-                outcome = outcome_at.get(index)
-                replayed = outcome is None
-                if replayed:
-                    outcome = outcome_at[replay_of[index]]
+            for (index, candidate), outcome in zip(indexed, batch):
+                outcome_at[index] = outcome
                 if not outcome.ok:
                     continue
-                if not replayed:
-                    evaluated += 1
-                point = fold_point(num_pes, bandwidth, label, dataflow, outcome.report)
+                evaluated += 1
+                point = fold_point(candidate, outcome.report)
                 if point is not None:
                     indexed_points.append((index, point))
+                    _update_leaders(interim, point)
+
+    if not symbolic_prune:
+        with obs.span("dse.evaluate", candidates=len(representatives)):
+            evaluate(representatives)
     else:
-        regions = _pe_regions(candidates, symbolic_block)
-        interim = {"throughput": None, "energy": None, "edp": None}
+        regions = _pe_regions(representatives, symbolic_block)
         with obs.span("dse.bnb", regions=len(regions)):
             for region in regions:
                 verdict = _region_bounds(
@@ -523,40 +345,23 @@ def explore(
                     power_budget,
                 )
                 if verdict is _INFEASIBLE:
-                    symbolic_rejects += len(region)
-                    continue
-                if verdict is not None and _dominated(verdict, interim):
-                    bnb_pruned += len(region)
-                    continue
-                batch = evaluator.evaluate(
-                    EvalPoint(
-                        layer=layer,
-                        dataflow=dataflow,
-                        accelerator=Accelerator(
-                            num_pes=num_pes,
-                            noc=make_noc(bandwidth),
-                            spatial_reduction=spatial_reduction,
-                        ),
-                        energy_model=energy_model,
-                    )
-                    for _, (num_pes, bandwidth, label, dataflow) in region
-                )
-                calls_submitted += batch.stats.submitted
-                cache_hits += batch.stats.cache_hits
-                executor_name = batch.stats.executor
-                eval_wall += batch.stats.wall_seconds
-                for (index, (num_pes, bandwidth, label, dataflow)), outcome in zip(
-                    region, batch
-                ):
-                    if not outcome.ok:
-                        continue
-                    evaluated += 1
-                    point = fold_point(
-                        num_pes, bandwidth, label, dataflow, outcome.report
-                    )
-                    if point is not None:
-                        indexed_points.append((index, point))
-                        _update_leaders(interim, point)
+                    fate.update((index, "symbolic_rejects") for index, _ in region)
+                elif verdict is not None and _dominated(verdict, interim):
+                    fate.update((index, "bnb_pruned") for index, _ in region)
+                else:
+                    evaluate(region)
+
+    skipped = {"symbolic_rejects": 0, "bnb_pruned": 0, "equiv_replays": 0}
+    with obs.span("dse.fold"):
+        for index, representative in replay_of.items():
+            skipped[fate.get(representative, "equiv_replays")] += 1
+            outcome = outcome_at.get(representative)
+            if outcome is not None and outcome.ok:
+                point = fold_point(candidates[index], outcome.report)
+                if point is not None:
+                    indexed_points.append((index, point))
+    for field in fate.values():
+        skipped[field] += 1
 
     # ------------------------------------------------------------------
     # Phase 3 — fold the surviving valid points in their original
@@ -565,68 +370,43 @@ def explore(
     # ------------------------------------------------------------------
     indexed_points.sort(key=lambda pair: pair[0])
     points: List[DesignPoint] = []
-    best = {"throughput": None, "energy": None, "edp": None}
+    best: Dict[str, Optional[DesignPoint]] = {"throughput": None, "energy": None, "edp": None}
     for _, point in indexed_points:
         points.append(point)
         _update_leaders(best, point)
 
     # The ExploreResult invariant, explicit: every grid point is
-    # accounted for exactly once — budget-pruned, lint-rejected,
-    # symbolically discarded, or answered by the cost model (evaluated
-    # successfully or failed).
+    # accounted for exactly once — budget-pruned, rejected by a screen,
+    # symbolically discarded, replayed, or answered by the cost model
+    # (evaluated successfully or failed).
+    rejects = screens.finish()
     failures = calls_submitted - evaluated
-    budget_pruned = (
-        pruned - static_rejects - coverage_rejects - comm_rejects - capacity_rejects
-    )
+    budget_pruned = pruned - sum(rejects.values())
     assert explored == space.size, (
         f"enumeration drift: walked {explored} of {space.size} grid points"
     )
-    assert (
-        evaluated
-        + failures
-        + static_rejects
-        + coverage_rejects
-        + comm_rejects
-        + capacity_rejects
-        + budget_pruned
-        + symbolic_rejects
-        + bnb_pruned
-        + equiv_replays
-        == space.size
-    ), (
+    assert evaluated + failures + pruned + sum(skipped.values()) == space.size, (
         f"statistics drift: evaluated={evaluated} failures={failures} "
-        f"static_rejects={static_rejects} coverage_rejects={coverage_rejects} "
-        f"comm_rejects={comm_rejects} capacity_rejects={capacity_rejects} "
-        f"budget_pruned={budget_pruned} symbolic_rejects={symbolic_rejects} "
-        f"bnb_pruned={bnb_pruned} equiv_replays={equiv_replays} "
+        f"budget_pruned={budget_pruned} {rejects} {skipped} "
         f"do not partition the {space.size}-point grid"
     )
 
     elapsed = time.perf_counter() - start
     obs.inc("dse.points_explored", explored)
     obs.inc("dse.mappings_evaluated", evaluated)
-    obs.inc("dse.pruned_by_lint", static_rejects)
-    obs.inc("dse.pruned_by_verify", coverage_rejects)
-    obs.inc("dse.pruned_by_symbolic", symbolic_rejects + bnb_pruned)
-    obs.inc("dse.pruned_by_comm", comm_rejects)
-    obs.inc("dse.pruned_by_capacity", capacity_rejects)
+    obs.inc("dse.pruned_by_symbolic", skipped["symbolic_rejects"] + skipped["bnb_pruned"])
     statistics = DSEStatistics(
         explored=explored,
         evaluated=evaluated,
         valid=len(points),
         pruned=pruned,
         elapsed_seconds=elapsed,
-        static_rejects=static_rejects,
-        coverage_rejects=coverage_rejects,
         cost_model_calls=calls_submitted,
         cache_hits=cache_hits,
         executor=executor_name,
         eval_wall_seconds=eval_wall,
-        symbolic_rejects=symbolic_rejects,
-        bnb_pruned=bnb_pruned,
-        comm_rejects=comm_rejects,
-        equiv_replays=equiv_replays,
-        capacity_rejects=capacity_rejects,
+        **rejects,
+        **skipped,
     )
     return DSEResult(
         points=tuple(points),
@@ -640,14 +420,9 @@ def explore(
 #: Region verdict sentinel: every point in the region is over budget.
 _INFEASIBLE = object()
 
-#: One enumerated candidate with its original index.
-_Indexed = Tuple[int, Tuple[int, int, str, object]]
 
-
-def _pe_regions(
-    candidates: "List[Tuple[int, int, str, object]]", block: int
-) -> "List[List[_Indexed]]":
-    """Group candidates into branch-and-bound regions.
+def _pe_regions(candidates: List[_Indexed], block: int) -> List[List[_Indexed]]:
+    """Group indexed candidates into branch-and-bound regions.
 
     A region holds up to ``block`` candidates that share a bandwidth and
     a dataflow variant and differ only in PE count (the enumeration is
@@ -657,10 +432,10 @@ def _pe_regions(
     first candidate's enumeration index, so incumbents grow in a
     deterministic order.
     """
-    grouped: "dict" = {}
-    for index, candidate in enumerate(candidates):
-        _, bandwidth, label, dataflow = candidate
-        key = (bandwidth, label, id(dataflow))
+    grouped: Dict[Tuple[int, str, int], List[List[_Indexed]]] = {}
+    for index, candidate in candidates:
+        label, dataflow, accelerator = candidate
+        key = (accelerator.noc.bandwidth, label, id(dataflow))
         blocks = grouped.setdefault(key, [])
         if not blocks or len(blocks[-1]) >= max(1, block):
             blocks.append([])
@@ -672,7 +447,7 @@ def _pe_regions(
 
 def _region_bounds(
     layer: Layer,
-    region: "List[_Indexed]",
+    region: List[_Indexed],
     noc_latency: int,
     area_model: AreaModel,
     energy_model: EnergyModel,
@@ -693,9 +468,9 @@ def _region_bounds(
     from repro.absint.interval import IntervalInt
     from repro.absint.shapes import ShapeBox
 
-    pes = [candidate[0] for _, candidate in region]
-    bandwidth = region[0][1][1]
-    dataflow = region[0][1][3]
+    pes = [accelerator.num_pes for _, (_, _, accelerator) in region]
+    _, dataflow, first = region[0][1]
+    bandwidth = first.noc.bandwidth
     try:
         analysis = abstract_analyze(
             ShapeBox.from_layer(layer),

@@ -75,18 +75,20 @@ def digest_line(
     evaluated: int,
     cost_model_calls: int,
     cache_hits: int,
-    pruned_lint: int,
-    pruned_verify: int,
+    pruned: Mapping[str, int],
     wall_seconds: float,
 ) -> str:
     """The one-line metrics digest ``dse``/``tune`` print unconditionally.
 
-    Sourced from the sweep's own statistics (not the obs registry), so
-    it is accurate with tracing disabled — the default.
+    ``pruned`` holds the rejects of every enabled screen, by screen name
+    (:func:`repro.screens.enabled_rejects`), printed in its order as
+    ``pruned-by-<name>=N``. Sourced from the sweep's own statistics (not
+    the obs registry), so it is accurate with tracing disabled — the
+    default.
     """
     hit_rate = cache_hits / cost_model_calls * 100.0 if cost_model_calls else 0.0
+    screens = "".join(f"pruned-by-{name}={count} " for name, count in pruned.items())
     return (
         f"metrics: evaluated={evaluated} cache-hit={hit_rate:.1f}% "
-        f"pruned-by-lint={pruned_lint} pruned-by-verify={pruned_verify} "
-        f"wall={wall_seconds:.2f}s"
+        f"{screens}wall={wall_seconds:.2f}s"
     )

@@ -285,6 +285,9 @@ def validate_verify(doc: Dict[str, Any]) -> Dict[str, Any]:
 
 DSE_FAMILIES = ("KC-P", "YR-P")
 
+#: The ``explore`` pruning keywords a dse job may set, same-named in JSON.
+DSE_PRUNERS = ("verify_coverage", "equiv_prune", "capacity_prune")
+
 
 def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
     _check_unknown(
@@ -302,9 +305,7 @@ def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
             "executor",
             "jobs",
             "stream",
-            "verify_coverage",
-            "equiv_prune",
-            "capacity_prune",
+            *DSE_PRUNERS,
             "spatial_reduction",
             "multicast",
         ),
@@ -336,9 +337,7 @@ def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
         ),
         "jobs": _get_int(doc, "jobs", default=None, lo=1),
         "stream": _get_bool(doc, "stream", False),
-        "verify_coverage": _get_bool(doc, "verify_coverage", False),
-        "equiv_prune": _get_bool(doc, "equiv_prune", False),
-        "capacity_prune": _get_bool(doc, "capacity_prune", False),
+        **{name: _get_bool(doc, name, False) for name in DSE_PRUNERS},
         "spatial_reduction": _get_bool(doc, "spatial_reduction", True),
         "multicast": _get_bool(doc, "multicast", True),
     }
@@ -439,9 +438,7 @@ def dse_inputs(norm: Dict[str, Any]) -> Tuple[Layer, DesignSpace, Dict[str, Any]
     kwargs = {
         "area_budget": norm["area"],
         "power_budget": norm["power"],
-        "verify_coverage": norm["verify_coverage"],
-        "equiv_prune": norm["equiv_prune"],
-        "capacity_prune": norm["capacity_prune"],
+        **{name: norm[name] for name in DSE_PRUNERS},
         "spatial_reduction": norm["spatial_reduction"],
         "noc_multicast": norm["multicast"],
         "executor": norm["executor"],

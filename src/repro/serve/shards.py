@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -105,28 +105,14 @@ def merge_shard_results(
     }
     for point in points:
         _update_leaders(best, point)
-    totals = dict(
-        explored=0,
-        evaluated=0,
-        valid=0,
-        pruned=0,
-        static_rejects=0,
-        coverage_rejects=0,
-        cost_model_calls=0,
-        cache_hits=0,
-        symbolic_rejects=0,
-        bnb_pruned=0,
-        comm_rejects=0,
-        equiv_replays=0,
-    )
-    eval_wall = 0.0
-    executors = []
-    for result in results:
-        stats = result.statistics
-        for name in totals:
-            totals[name] += getattr(stats, name)
-        eval_wall += stats.eval_wall_seconds
-        executors.append(stats.executor)
+    # Every integer statistic is a count over the grid, so shard counts add.
+    totals = {
+        field.name: sum(getattr(result.statistics, field.name) for result in results)
+        for field in fields(DSEStatistics)
+        if field.type in ("int", int)
+    }
+    eval_wall = sum(result.statistics.eval_wall_seconds for result in results)
+    executors = [result.statistics.executor for result in results]
     executor = executors[0] if len(set(executors)) == 1 else "mixed"
     statistics = DSEStatistics(
         elapsed_seconds=elapsed_seconds,

@@ -14,9 +14,10 @@ from repro.errors import BindingError, DataflowError
 from repro.exec import AnalysisCache, BatchEvaluator, EvalOutcome, EvalPoint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
-from repro.lint.engine import static_errors
+from repro.lint.engine import static_errors  # noqa: F401 - traced by name (perfbench/ledger.py)
 from repro.model.layer import Layer
 from repro.model.network import Network
+from repro.screens import ScreenContext, ScreenRunner, equiv_quotient
 from repro.tuner.templates import CandidateSpec, enumerate_candidates
 
 #: Objectives: report -> score to minimize.
@@ -47,31 +48,17 @@ class TunerResult:
     top: Tuple[ScoredCandidate, ...]
     evaluated: int
     rejected: int
-    #: How many of ``rejected`` the static mapping analyzer caught
-    #: before any cost-model evaluation.
+    #: How many of ``rejected`` each screen of :mod:`repro.screens`
+    #: caught before any cost-model evaluation: lint (``static_lint``),
+    #: ``verify_coverage``, ``symbolic_prune``, ``comm_prune`` and
+    #: ``capacity_prune``.
     statically_rejected: int = 0
-    #: How many of ``rejected`` the iteration-space verifier refuted
-    #: (proven missed/double-counted MACs) before evaluation; only
-    #: counted when ``verify_coverage`` is enabled.
     coverage_rejected: int = 0
-    #: How many of ``rejected`` the symbolic abstract interpreter
-    #: screened out before evaluation (interval lower bound on a buffer
-    #: requirement already above the cap); only counted when
-    #: ``symbolic_prune`` is enabled and a buffer cap is set.
     symbolic_rejected: int = 0
-    #: How many of ``rejected`` the communication classifier screened
-    #: out (spatially mapped reduction on reduction-free hardware —
-    #: the DF300 race); only counted when ``comm_prune`` is enabled
-    #: and the accelerator lacks ``reduction_support``.
     comm_rejected: int = 0
     #: How many candidates were scored by replaying an equivalent
-    #: candidate's outcome instead of a cost-model call (``equiv_prune``:
-    #: same canonical key, provably identical report).
+    #: candidate's outcome instead of a cost-model call (``equiv_prune``).
     equiv_replayed: int = 0
-    #: How many of ``rejected`` the static capacity analyzer screened
-    #: out before evaluation (certified peak occupancy bound already
-    #: above a buffer cap — bit-identical to the phase-3 filter); only
-    #: counted when ``capacity_prune`` is enabled and a cap is set.
     capacity_rejected: int = 0
     #: How many cost-model answers came from the memoization cache
     #: (free on tuner restarts and overlapping candidate grids).
@@ -117,59 +104,28 @@ def tune_layer(
     ``strategy`` is ``"exhaustive"`` (walk the whole candidate grid) or
     ``"random"`` (sample ``budget`` candidates uniformly). Candidates
     whose buffer requirements exceed ``max_l1_bytes``/``max_l2_bytes``
-    or that fail to bind are rejected. With ``static_lint`` (the
-    default) invalid candidates are caught by the static mapping
-    analyzer before any cost-model evaluation; the check is
-    binding-equivalent, so the surviving candidate set is identical.
+    or that fail to bind are rejected.
 
-    With ``verify_coverage`` each surviving candidate is additionally
-    checked by the iteration-space verifier (:mod:`repro.verify`) and
-    rejected when *proven* not to cover the layer's compute space
-    exactly once. The pruning is sound — only refuted mappings are
-    dropped — so the best candidate among correct mappings is
-    unchanged.
+    Before any cost-model call, each candidate runs through the sound
+    screens of :mod:`repro.screens`, in registry order: ``static_lint``
+    (on by default), ``verify_coverage``, ``comm_prune`` (only on an
+    accelerator without ``reduction_support``), then ``capacity_prune``
+    and ``symbolic_prune`` (both only with a buffer cap, which they
+    check with the certified exact or interval lower-bound
+    requirements). Each rejects only candidates the tuner would reject
+    anyway, so the winner is unchanged; the argument for each is on its
+    registry entry.
+
+    With ``equiv_prune`` the survivors are quotiented by
+    :func:`repro.screens.equiv_quotient`: only one representative per
+    equivalence class pays a cost-model call, and the rest replay its
+    report with their own mapping name restored (``equiv_replayed``).
 
     Surviving candidates are scored through the batch-evaluation backend
     (:mod:`repro.exec`): ``executor``/``jobs``/``cache`` are pure
     performance knobs — every combination scores the identical set
     (``executor="vector"`` batches same-template candidates through the
     whole-grid NumPy engine in :mod:`repro.vector`).
-
-    With ``symbolic_prune`` and a buffer cap
-    (``max_l1_bytes``/``max_l2_bytes``), candidates whose *interval
-    lower bound* on the corresponding buffer requirement — computed by
-    the abstract interpreter (:mod:`repro.absint`) without a cost-model
-    run — already exceeds the cap are rejected up front
-    (``symbolic_rejected``). The bound encloses the concrete
-    requirement, so exactly the candidates phase 3 would reject are
-    screened and the winning candidate is unchanged.
-
-    With ``comm_prune`` and an accelerator *without*
-    ``reduction_support``, each candidate is classified once by the
-    communication analyzer (:mod:`repro.comm`) and rejected when it
-    spatially maps a reduction-carried dimension — the DF300 write-race
-    hazard — before any cost-model call (``comm_rejected``). On
-    reduction-capable hardware the screen never runs, so the result is
-    bit-identical with or without the flag; candidates the classifier
-    cannot bind or classify are never pruned.
-
-    With ``capacity_prune`` and a buffer cap, each candidate's *exact*
-    peak occupancy bounds — computed by the static capacity analyzer
-    (:mod:`repro.capacity`) without a cost-model run — are compared
-    against the caps up front (``capacity_rejected``). The bounds
-    reproduce the engine's ``l1_buffer_req``/``l2_buffer_req``
-    bit-for-bit, so exactly the candidates phase 3 would reject are
-    screened and the winner is unchanged; candidates whose bounds
-    cannot be certified are never pruned.
-
-    With ``equiv_prune`` the surviving candidates are quotiented by the
-    equivalence analyzer (:mod:`repro.equiv`): only one representative
-    per canonical-form class (extended to the symmetry orbit where the
-    integer-activity certificate proves transposed twins bit-identical
-    on this accelerator) pays a cost-model call; the rest replay its
-    report with their own mapping name restored (``equiv_replayed``).
-    Every replayed report is provably bit-identical to a fresh
-    evaluation, so the scored set — and the winner — are unchanged.
     """
     start = time.perf_counter()
     try:
@@ -185,10 +141,32 @@ def tune_layer(
     elif strategy != "exhaustive":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # Phase 1 — enumerate: build + statically screen the candidates.
+    def over_caps(accelerator: Accelerator, l1_req: int, l2_req: int) -> bool:
+        return (max_l1_bytes is not None and l1_req > max_l1_bytes) or (
+            max_l2_bytes is not None and l2_req > max_l2_bytes
+        )
+
+    capped = max_l1_bytes is not None or max_l2_bytes is not None
+    screens = ScreenRunner(
+        "tuner",
+        ScreenContext(
+            layer,
+            energy_model,
+            reduction_support=accelerator.reduction_support,
+            over_budget=over_caps if capped else None,
+        ),
+        {
+            "static_lint": static_lint,
+            "verify_coverage": verify_coverage,
+            "comm_prune": comm_prune,
+            "capacity_prune": capacity_prune,
+            "symbolic_prune": symbolic_prune,
+        },
+    )
+
+    # Phase 1 — enumerate: build + screen the candidates.
     with obs.span("tuner.enumerate", specs=len(specs)):
         rejected = 0
-        statically_rejected = 0
         runnable: List[Tuple[CandidateSpec, Dataflow]] = []
         for spec in specs:
             try:
@@ -196,149 +174,19 @@ def tune_layer(
             except (BindingError, DataflowError):
                 rejected += 1
                 continue
-            if static_lint and static_errors(dataflow, layer, accelerator):
+            if screens.reject(dataflow.name, dataflow, accelerator):
                 rejected += 1
-                statically_rejected += 1
                 continue
             runnable.append((spec, dataflow))
 
-    coverage_rejected = 0
-    if verify_coverage:
-        with obs.span("tuner.verify_screen", candidates=len(runnable)):
-            from repro.verify import Verdict, verify_dataflow
-
-            survivors: List[Tuple[CandidateSpec, Dataflow]] = []
-            verdicts: Dict[str, bool] = {}  # dataflow name -> refuted
-            for spec, dataflow in runnable:
-                refuted = verdicts.get(dataflow.name)
-                if refuted is None:
-                    try:
-                        result = verify_dataflow(dataflow, layer)
-                        refuted = result.verdict is Verdict.REFUTED
-                    except Exception:
-                        refuted = False  # never let verification break tuning
-                    verdicts[dataflow.name] = refuted
-                if refuted:
-                    rejected += 1
-                    coverage_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    comm_rejected = 0
-    if comm_prune and not accelerator.reduction_support:
-        with obs.span("tuner.comm_screen", candidates=len(runnable)):
-            from repro.comm import classify_dataflow
-
-            survivors = []
-            races: Dict[str, bool] = {}  # dataflow name -> races
-            for spec, dataflow in runnable:
-                racy = races.get(dataflow.name)
-                if racy is None:
-                    try:
-                        racy = classify_dataflow(
-                            dataflow, layer, accelerator
-                        ).requires_spatial_reduction
-                    except Exception:
-                        racy = False  # never let classification break tuning
-                    races[dataflow.name] = racy
-                if racy:
-                    rejected += 1
-                    comm_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    capacity_rejected = 0
-    if capacity_prune and (max_l1_bytes is not None or max_l2_bytes is not None):
-        with obs.span("tuner.capacity_screen", candidates=len(runnable)):
-            from repro.capacity import compute_capacity_bounds
-
-            survivors = []
-            peaks: Dict[str, Optional[Tuple[int, int]]] = {}
-            for spec, dataflow in runnable:
-                if dataflow.name not in peaks:
-                    try:
-                        bounds = compute_capacity_bounds(dataflow, layer, accelerator)
-                        peaks[dataflow.name] = (
-                            bounds.l1.peak_bytes,
-                            bounds.l2.peak_bytes,
-                        )
-                    except Exception:
-                        peaks[dataflow.name] = None  # never prune uncertified
-                peak = peaks[dataflow.name]
-                if peak is not None and (
-                    (max_l1_bytes is not None and peak[0] > max_l1_bytes)
-                    or (max_l2_bytes is not None and peak[1] > max_l2_bytes)
-                ):
-                    rejected += 1
-                    capacity_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    symbolic_rejected = 0
-    if symbolic_prune and (max_l1_bytes is not None or max_l2_bytes is not None):
-        with obs.span("tuner.symbolic_screen", candidates=len(runnable)):
-            from repro.absint.engine import HardwareBox, abstract_analyze
-            from repro.absint.shapes import ShapeBox
-
-            box = ShapeBox.from_layer(layer)
-            hw = HardwareBox.from_accelerator(accelerator)
-            survivors = []
-            for spec, dataflow in runnable:
-                try:
-                    analysis = abstract_analyze(
-                        box, dataflow, hw, energy_model=energy_model
-                    )
-                except Exception:
-                    survivors.append((spec, dataflow))  # never prune uncertified
-                    continue
-                if (
-                    max_l1_bytes is not None
-                    and analysis.l1_buffer_req.lo > max_l1_bytes
-                ) or (
-                    max_l2_bytes is not None
-                    and analysis.l2_buffer_req.lo > max_l2_bytes
-                ):
-                    rejected += 1
-                    symbolic_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    # Equivalence screen: one representative per canonical-form class
-    # pays a cost-model call; the others replay its (provably identical)
-    # report below. The orbit quotient applies only where the
-    # integer-activity certificate holds at this accelerator's PE count.
-    equiv_replayed = 0
-    eval_indices = list(range(len(runnable)))
     replay_of: Dict[int, int] = {}
     if equiv_prune:
-        with obs.span("tuner.equiv_screen", candidates=len(runnable)):
-            from repro.equiv import (
-                canonicalize,
-                integral_active,
-                layer_symmetries,
-                orbit_key,
-            )
-
-            symmetries = layer_symmetries(layer)
-            representatives: Dict[object, int] = {}
-            eval_indices = []
-            for index, (spec, dataflow) in enumerate(runnable):
-                form = canonicalize(dataflow, layer)
-                class_key = form.key
-                if symmetries and integral_active(form, accelerator.num_pes):
-                    class_key = orbit_key(class_key, symmetries)
-                representative = representatives.get(class_key)
-                if representative is None:
-                    representatives[class_key] = index
-                    eval_indices.append(index)
-                else:
-                    replay_of[index] = representative
-            equiv_replayed = len(replay_of)
-            obs.inc("tuner.pruned_by_equiv", equiv_replayed)
+        replay_of = equiv_quotient(
+            "tuner",
+            layer,
+            ((dataflow.name, dataflow, accelerator.num_pes, None) for _, dataflow in runnable),
+        )
+    eval_indices = [index for index in range(len(runnable)) if index not in replay_of]
 
     # Phase 2 — evaluate through the backend (memoized, parallelizable).
     evaluator = BatchEvaluator(executor=executor, jobs=jobs, cache=cache)
@@ -370,10 +218,7 @@ def tune_layer(
                 rejected += 1
                 continue
             report = outcome.report
-            if max_l1_bytes is not None and report.l1_buffer_req > max_l1_bytes:
-                rejected += 1
-                continue
-            if max_l2_bytes is not None and report.l2_buffer_req > max_l2_bytes:
+            if over_caps(accelerator, report.l1_buffer_req, report.l2_buffer_req):
                 rejected += 1
                 continue
             scored.append(
@@ -383,11 +228,6 @@ def tune_layer(
             raise DataflowError(f"no tuner candidate is feasible for layer {layer.name!r}")
         scored.sort(key=lambda candidate: candidate.score)
     obs.inc("tuner.candidates_evaluated", len(scored))
-    obs.inc("tuner.pruned_by_lint", statically_rejected)
-    obs.inc("tuner.pruned_by_verify", coverage_rejected)
-    obs.inc("tuner.pruned_by_symbolic", symbolic_rejected)
-    obs.inc("tuner.pruned_by_comm", comm_rejected)
-    obs.inc("tuner.pruned_by_capacity", capacity_rejected)
     return TunerResult(
         layer_name=layer.name,
         objective=objective,
@@ -395,15 +235,11 @@ def tune_layer(
         top=tuple(scored[:top_k]),
         evaluated=len(scored),
         rejected=rejected,
-        statically_rejected=statically_rejected,
-        coverage_rejected=coverage_rejected,
-        symbolic_rejected=symbolic_rejected,
-        comm_rejected=comm_rejected,
-        equiv_replayed=equiv_replayed,
-        capacity_rejected=capacity_rejected,
+        equiv_replayed=len(replay_of),
         cache_hits=batch.stats.cache_hits,
         cost_model_calls=batch.stats.submitted,
         elapsed_seconds=time.perf_counter() - start,
+        **screens.finish(),
     )
 
 

@@ -457,6 +457,62 @@ def test_dse_symbolic_prune_matches_exhaustive_optima():
     assert all(point in exhaustive_points for point in pruned.points)
 
 
+def test_dse_symbolic_and_equiv_prune_match_exhaustive_optima():
+    """With both pruners the branch-and-bound regions hold equivalence
+    representatives only and each replayed twin takes its
+    representative's fate (evaluated, symbolically rejected, or
+    branch-and-bound pruned): the optima still match the exhaustive
+    sweep and the statistics still partition the grid."""
+    from repro.dse.explorer import explore
+    from repro.dse.space import (
+        DesignSpace,
+        default_bandwidths,
+        kc_partitioned_variants,
+    )
+    from repro.equiv import transpose_dataflow
+
+    variants = kc_partitioned_variants()
+    variants += [(f"{label}~T", transpose_dataflow(flow)) for label, flow in variants]
+    space = DesignSpace(
+        pe_counts=list(range(8, 129, 8)),
+        noc_bandwidths=default_bandwidths(128),
+        dataflow_variants=variants,
+    )
+    exhaustive = explore(
+        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False
+    )
+    pruned = explore(
+        LAYER,
+        space,
+        area_budget=16.0,
+        power_budget=450.0,
+        cache=False,
+        symbolic_prune=True,
+        equiv_prune=True,
+    )
+    assert pruned.throughput_optimal == exhaustive.throughput_optimal
+    assert pruned.energy_optimal == exhaustive.energy_optimal
+    assert pruned.edp_optimal == exhaustive.edp_optimal
+    quotiented = explore(
+        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False, equiv_prune=True
+    )
+    stats = pruned.statistics
+    # Some twins replayed an evaluated representative, others shared a
+    # skipped one's fate.
+    assert 0 < stats.equiv_replays < quotiented.statistics.equiv_replays
+    assert stats.symbolic_rejects + stats.bnb_pruned > 0
+    assert (
+        stats.cost_model_calls
+        + stats.pruned
+        + stats.symbolic_rejects
+        + stats.bnb_pruned
+        + stats.equiv_replays
+        == stats.explored
+        == space.size
+    )
+    assert set(pruned.points) <= set(exhaustive.points)
+
+
 def test_dse_symbolic_prune_infeasible_regions_keep_valid_set():
     """A tiny budget makes whole regions infeasible; the valid set (not
     just the optima) must survive identically, because infeasibility

@@ -278,16 +278,16 @@ class TestProfileHelpers:
     def test_digest_line_format(self):
         line = digest_line(
             evaluated=10, cost_model_calls=20, cache_hits=5,
-            pruned_lint=3, pruned_verify=1, wall_seconds=0.5,
+            pruned={"lint": 3, "verify": 1, "capacity": 7}, wall_seconds=0.5,
         )
         assert line == (
             "metrics: evaluated=10 cache-hit=25.0% "
-            "pruned-by-lint=3 pruned-by-verify=1 wall=0.50s"
+            "pruned-by-lint=3 pruned-by-verify=1 pruned-by-capacity=7 wall=0.50s"
         )
-        assert "cache-hit=0.0%" in digest_line(
+        assert digest_line(
             evaluated=0, cost_model_calls=0, cache_hits=0,
-            pruned_lint=0, pruned_verify=0, wall_seconds=0.0,
-        )
+            pruned={}, wall_seconds=0.0,
+        ) == "metrics: evaluated=0 cache-hit=0.0% wall=0.00s"
 
 
 class TestEngineInstrumentation:

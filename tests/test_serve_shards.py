@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
 
 import pytest
 
-from repro.dse.explorer import explore
+from repro.dse.explorer import DSEStatistics, explore
 from repro.dse.space import (
     DesignSpace,
     default_bandwidths,
@@ -34,6 +35,24 @@ def small_space():
         noc_bandwidths=default_bandwidths(16),
         dataflow_variants=kc_partitioned_variants(),
     )
+
+
+@pytest.fixture(scope="module")
+def wide_space():
+    """Reaches PE counts where the capacity screen rejects points."""
+    return DesignSpace(
+        pe_counts=default_pe_counts(max_pes=256, step=16),
+        noc_bandwidths=default_bandwidths(16),
+        dataflow_variants=kc_partitioned_variants(),
+    )
+
+
+PRUNER_SETS = {
+    "none": {},
+    "verify": {"verify_coverage": True},
+    "equiv": {"equiv_prune": True},
+    "capacity": {"capacity_prune": True},
+}
 
 
 @pytest.fixture(scope="module")
@@ -70,16 +89,29 @@ class TestPartitioning:
 class TestParity:
     """The tentpole invariant: sharded == whole-space, bit for bit."""
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_front_and_optima_bit_identical(self, conv_layer, small_space, shards):
-        direct = explore(conv_layer, small_space, AREA, POWER, cache=False)
+    @pytest.mark.parametrize(
+        "pruners,shards",
+        [
+            # The unpruned cases keep their plain shard-count ids.
+            pytest.param(pruners, shards, id=str(shards) if pruners == "none" else None)
+            for pruners in PRUNER_SETS
+            for shards in (1, 2, 3, 4)
+        ],
+    )
+    def test_front_and_optima_bit_identical(
+        self, conv_layer, small_space, wide_space, pruners, shards
+    ):
+        space = small_space if pruners == "none" else wide_space
+        kwargs = PRUNER_SETS[pruners]
+        direct = explore(conv_layer, space, AREA, POWER, cache=False, **kwargs)
         sharded = sharded_explore(
             conv_layer,
-            small_space,
+            space,
             area_budget=AREA,
             power_budget=POWER,
             shards=shards,
             cache=False,
+            **kwargs,
         )
         assert sharded.points == direct.points
         assert sharded.pareto() == direct.pareto()
@@ -87,8 +119,12 @@ class TestParity:
         assert sharded.energy_optimal == direct.energy_optimal
         assert sharded.edp_optimal == direct.edp_optimal
         stats, direct_stats = sharded.statistics, direct.statistics
-        assert stats.explored == direct_stats.explored == small_space.size
-        assert stats.valid == direct_stats.valid
+        assert stats.explored == direct_stats.explored == space.size
+        for field in fields(DSEStatistics):
+            if field.type in ("int", int):
+                assert getattr(stats, field.name) == getattr(direct_stats, field.name), field.name
+        if pruners == "capacity":
+            assert stats.capacity_rejects > 0
 
     def test_shared_cache_across_shards(self, conv_layer, small_space):
         cache = AnalysisCache(max_entries=4096)
