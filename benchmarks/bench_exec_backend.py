@@ -1,18 +1,20 @@
 """Micro-benchmarks for the batch-evaluation backend (:mod:`repro.exec`).
 
-Three timed kernels for the CI regression gate: the serial cold path
+Four timed kernels for the CI regression gate: the serial cold path
 (pure cost-model throughput), the warm memoization path (cache-lookup
-throughput), and the cache-key construction itself. A fourth
-pure-Python calibration spin lets ``check_regression.py`` normalize
-away machine-speed differences between the baseline host and the CI
-runner.
+throughput), and the cache-key construction itself, both for one point
+and for a whole Fig-13-shaped batch. A pure-Python calibration spin
+lets ``check_regression.py`` normalize away machine-speed differences
+between the baseline host and the CI runner.
 """
 
 import pytest
 
 from repro.dataflow.library import kc_partitioned, yr_partitioned
-from repro.exec import AnalysisCache, EvalPoint, cache_key, evaluate_batch
+from repro.dse.space import default_bandwidths, default_pe_counts, kc_partitioned_variants
+from repro.exec import AnalysisCache, EvalPoint, cache_key, cache_keys, evaluate_batch
 from repro.hardware.accelerator import Accelerator, NoC
+from repro.hardware.energy import DEFAULT_ENERGY_MODEL
 from repro.model.zoo import build
 from repro.util.text_table import format_table
 
@@ -51,6 +53,23 @@ def test_bench_cache_key(benchmark, points):
         cache_key, point.layer, point.dataflow, point.accelerator, point.energy_model
     )
     assert len(key) == 64
+
+
+def test_bench_cache_keys_grid(benchmark):
+    """Batch key construction over a Fig-13 grid: 16 variants x 32 PEs x 8 bandwidths."""
+    layer = build("vgg16").layer("CONV11")
+    accelerators = [
+        Accelerator(num_pes=pes, noc=NoC(bandwidth=bw))
+        for pes in default_pe_counts(max_pes=512, step=16)
+        for bw in default_bandwidths(128)
+    ]
+    grid = [
+        (layer, flow, accelerator, DEFAULT_ENERGY_MODEL)
+        for _, flow in kc_partitioned_variants()
+        for accelerator in accelerators
+    ]
+    keys = benchmark(cache_keys, grid)
+    assert len(keys) == len(grid) == 4096
 
 
 def test_bench_calibration(benchmark):

@@ -20,7 +20,7 @@ from repro.engines.analysis import analyze_layer
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import BindingError, DataflowError
-from repro.exec.cache import AnalysisCache, cache_key, resolve_cache
+from repro.exec.cache import AnalysisCache, cache_key, cache_keys, resolve_cache
 from repro.exec.serialize import EvalOutcome
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -270,13 +270,19 @@ class BatchEvaluator:
 
         # Cache pass: satisfy what we can, remember the miss positions.
         miss_indices: List[int] = []
-        keys: List[Optional[str]] = [None] * len(points)
+        keys: Sequence[Optional[str]] = [None] * len(points)
         equiv_twin_hits = 0
         if self._cache is not None:
             with obs.span("exec.cache_lookup"):
-                for index, point in enumerate(points):
-                    key = point.key()
-                    keys[index] = key
+                # One keying pass for the whole batch: the shared work
+                # (canonical forms, serialized layers and hardware) is
+                # done once, and every key equals ``point.key()``.
+                batch_keys = cache_keys(
+                    (point.layer, point.dataflow, point.accelerator, point.energy_model)
+                    for point in points
+                )
+                keys = batch_keys
+                for index, (point, key) in enumerate(zip(points, batch_keys)):
                     hit = self._cache.get(key)
                     if hit is not None:
                         if (

@@ -23,6 +23,11 @@ evaluation point:
   so any change to the engines invalidates every stale entry
   automatically.
 
+:func:`cache_keys` keys a whole batch in one pass, building each key
+from JSON fragments shared between points: a grid varies only the
+hardware, so each (layer, dataflow) pair is canonicalized once. The
+text hashed is byte-identical to :func:`cache_key`'s one-point formula.
+
 Storage is two-tier: an in-memory LRU (always on) and an optional
 on-disk JSON store, one file per key under
 ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro`` when enabled explicitly),
@@ -39,7 +44,7 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
@@ -185,6 +190,56 @@ def _energy_payload(model: EnergyModel) -> Dict[str, Any]:
     }
 
 
+class _DataflowKeying:
+    """One (layer, dataflow) pair's key inputs that do not depend on the PE count.
+
+    Canonicalizes once on construction; :meth:`payload` then applies the
+    only two PE-count-dependent rules, computing the orbit-least key at
+    most once. This is the single home of the dataflow keying rules,
+    shared by the one-point and batch paths.
+    """
+
+    def __init__(self, dataflow: Dataflow, layer: Layer) -> None:
+        from repro.equiv.canonical import canonicalize
+        from repro.equiv.symmetry import layer_symmetries
+        from repro.util.intmath import prod
+
+        self.name = dataflow.name
+        self.form = canonicalize(dataflow, layer)
+        #: The raw-spelling payload of a fallback form (``None`` otherwise).
+        self.fallback: Optional[Dict[str, Any]] = None
+        if self.form.fallback:
+            self.fallback = {
+                "name": dataflow.name,
+                "directives": canonical_directives(dataflow, layer),
+            }
+        self.symmetries = () if self.form.fallback else layer_symmetries(layer)
+        self.cluster_pes = prod(
+            [level.cluster_size for level in self.form.levels if level.cluster_size is not None]
+        )
+        self._orbit_key: Optional[Tuple[object, ...]] = None
+
+    def payload(self, num_pes: int) -> Dict[str, Any]:
+        """The dataflow portion of the cache key at ``num_pes`` PEs.
+
+        The ``"key"`` entry is the structural key *tuple*; JSON renders
+        it exactly as its :func:`~repro.equiv.canonical.key_to_json` list.
+        """
+        from repro.equiv.symmetry import integral_active, orbit_key
+
+        if self.fallback is not None:
+            return self.fallback
+        key = self.form.key
+        if self.symmetries and integral_active(self.form, num_pes):
+            if self._orbit_key is None:
+                self._orbit_key = orbit_key(key, self.symmetries)
+            key = self._orbit_key
+        payload: Dict[str, Any] = {"key": key}
+        if self.cluster_pes > num_pes:
+            payload["name"] = self.name  # binding rejects; message names the mapping
+        return payload
+
+
 def dataflow_cache_payload(
     dataflow: Dataflow, layer: Layer, num_pes: int
 ) -> Dict[str, Any]:
@@ -203,26 +258,11 @@ def dataflow_cache_payload(
     carries the first-evaluated twin's name (``error_type``, which sweep
     consumers branch on, is spelling-independent).
     """
-    from repro.equiv.canonical import canonicalize, key_to_json
-    from repro.equiv.symmetry import integral_active, layer_symmetries, orbit_key
-    from repro.util.intmath import prod
+    from repro.equiv.canonical import key_to_json
 
-    form = canonicalize(dataflow, layer)
-    if form.fallback:
-        return {
-            "name": dataflow.name,
-            "directives": canonical_directives(dataflow, layer),
-        }
-    key = form.key
-    symmetries = layer_symmetries(layer)
-    if symmetries and integral_active(form, num_pes):
-        key = orbit_key(key, symmetries)
-    payload: Dict[str, Any] = {"key": key_to_json(key)}
-    cluster_pes = prod(
-        [level.cluster_size for level in form.levels if level.cluster_size is not None]
-    )
-    if cluster_pes > num_pes:
-        payload["name"] = dataflow.name  # binding rejects; message names the mapping
+    payload = _DataflowKeying(dataflow, layer).payload(num_pes)
+    if "key" in payload:
+        payload["key"] = key_to_json(payload["key"])
     return payload
 
 
@@ -242,16 +282,104 @@ def canonical_point_payload(
     }
 
 
+#: The one JSON spelling keys are hashed from: sorted keys, no spaces.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+#: One point of a keyed batch: ``(layer, dataflow, accelerator, energy_model)``.
+KeyedPoint = Tuple[Layer, Dataflow, Accelerator, EnergyModel]
+
+_T = TypeVar("_T")
+
+
+def _fragment(
+    table: Dict[int, Tuple[_T, str]], obj: _T, render: Callable[[_T], Dict[str, Any]]
+) -> str:
+    """``_dumps(render(obj))``, memoized in ``table`` by the identity of ``obj``."""
+    entry = table.get(id(obj))
+    if entry is None:
+        entry = table[id(obj)] = (obj, _dumps(render(obj)))
+    return entry[1]
+
+
+class _BatchKeyer:
+    """Cache keys for one batch, built from memoized JSON fragments.
+
+    The key text is the sorted-key join of five fragments — accelerator,
+    dataflow, energy, layer, salt — which is byte-identical to
+    ``_dumps(canonical_point_payload(...))`` because the JSON encoder
+    renders a nested object the same whether or not it is embedded.
+    Each distinct layer, energy model and accelerator is serialized
+    once; each distinct (layer, dataflow) pair is canonicalized once and
+    its dataflow fragment rendered once per PE count.
+
+    The memo tables are keyed by object identity and hold a reference to
+    every object they key, so no id can be recycled while the keyer is
+    alive. A keyer lives for one batch only.
+    """
+
+    def __init__(self) -> None:
+        self._salt = _dumps(model_version_salt())
+        self._layers: Dict[int, Tuple[Layer, str]] = {}
+        self._accelerators: Dict[int, Tuple[Accelerator, str]] = {}
+        self._energy: Dict[int, Tuple[EnergyModel, str]] = {}
+        self._dataflows: Dict[
+            Tuple[int, int], Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]
+        ] = {}
+
+    def _dataflow_fragment(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> str:
+        entry = self._dataflows.get((id(layer), id(dataflow)))
+        if entry is None:
+            entry = (layer, dataflow, _DataflowKeying(dataflow, layer), {})
+            self._dataflows[(id(layer), id(dataflow))] = entry
+        by_pes = entry[3]
+        fragment = by_pes.get(num_pes)
+        if fragment is None:
+            fragment = by_pes[num_pes] = _dumps(entry[2].payload(num_pes))
+        return fragment
+
+    def key(
+        self,
+        layer: Layer,
+        dataflow: Dataflow,
+        accelerator: Accelerator,
+        energy_model: EnergyModel,
+    ) -> str:
+        """The cache key of one point (equal to :func:`cache_key`'s)."""
+        text = (
+            f'{{"accelerator":{_fragment(self._accelerators, accelerator, _accelerator_payload)}'
+            f',"dataflow":{self._dataflow_fragment(layer, dataflow, accelerator.num_pes)}'
+            f',"energy":{_fragment(self._energy, energy_model, _energy_payload)}'
+            f',"layer":{_fragment(self._layers, layer, _layer_payload)}'
+            f',"salt":{self._salt}}}'
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cache_keys(points: Iterable[KeyedPoint]) -> List[str]:
+    """The cache keys of a whole batch, in input order.
+
+    Equal, point for point, to :func:`cache_key`; the work shared
+    between points (serialization, canonicalization) is done once per
+    batch instead of once per point.
+    """
+    keyer = _BatchKeyer()
+    with obs.span("exec.cache.key"):
+        return [keyer.key(*point) for point in points]
+
+
 def cache_key(
     layer: Layer,
     dataflow: Dataflow,
     accelerator: Accelerator,
     energy_model: EnergyModel,
 ) -> str:
-    """Stable content hash of one (layer, dataflow, hardware) point."""
-    payload = canonical_point_payload(layer, dataflow, accelerator, energy_model)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Stable content hash of one (layer, dataflow, hardware) point.
+
+    The one-point case of :func:`cache_keys`: the SHA-256 of
+    ``_dumps(canonical_point_payload(...))``.
+    """
+    return _BatchKeyer().key(layer, dataflow, accelerator, energy_model)
 
 
 class AnalysisCache:

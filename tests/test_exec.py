@@ -7,6 +7,9 @@ consumers can treat ``executor``/``jobs``/``cache`` as pure performance
 knobs.
 """
 
+import copy
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -21,7 +24,14 @@ from repro.dataflow.directives import (
     temporal_map,
 )
 from repro.dse import explore
-from repro.dse.space import DesignSpace, kc_partitioned_variants
+from repro.dse.space import (
+    DesignSpace,
+    default_bandwidths,
+    default_pe_counts,
+    kc_partitioned_variants,
+    yr_partitioned_variants,
+)
+from repro.equiv import canonicalize, integral_active
 from repro.exec import (
     AnalysisCache,
     BatchEvaluator,
@@ -29,6 +39,7 @@ from repro.exec import (
     analysis_from_dict,
     analysis_to_dict,
     cache_key,
+    cache_keys,
     canonical_point_payload,
     dataflow_cache_payload,
     evaluate_batch,
@@ -37,9 +48,10 @@ from repro.exec import (
 )
 from repro.exec.cache import canonical_directives
 from repro.hardware.accelerator import Accelerator, NoC
-from repro.hardware.energy import DEFAULT_ENERGY_MODEL
+from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.hetero import SubAccelerator, analyze_heterogeneous
 from repro.model.layer import conv2d
+from repro.model.zoo import build
 from repro.model.network import Network
 from repro.tensors import dims as D
 from repro.tuner.search import tune_layer
@@ -341,6 +353,166 @@ class TestCacheKeyProperties:
         )
         assert payload["salt"] == model_version_salt()
         assert len(model_version_salt()) == 12
+
+
+# ----------------------------------------------------------------------
+# Batch keying: every key cache_keys builds from shared fragments is
+# byte-for-byte the one-shot formula, so on-disk entries keyed by the
+# one-point path keep hitting.
+# ----------------------------------------------------------------------
+def _one_shot_key(layer, dataflow, accelerator, energy_model):
+    payload = canonical_point_payload(layer, dataflow, accelerator, energy_model)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_batch_parity(points):
+    keys = cache_keys(points)
+    assert keys == [_one_shot_key(*point) for point in points]
+    return keys
+
+
+def _point(layer, flow, num_pes):
+    return (layer, flow, Accelerator(num_pes=num_pes, noc=NoC(bandwidth=8)), DEFAULT_ENERGY_MODEL)
+
+
+def _fig13_accelerators():
+    return [
+        Accelerator(num_pes=pes, noc=NoC(bandwidth=bw))
+        for pes in default_pe_counts(max_pes=512, step=16)
+        for bw in default_bandwidths(128)
+    ]
+
+
+class TestBatchCacheKeys:
+    def test_fig13_grid_on_vgg16_conv2(self):
+        layer = build("vgg16").layer("CONV2")
+        accelerators = _fig13_accelerators()
+        flows = [flow for _, flow in kc_partitioned_variants() + yr_partitioned_variants()]
+        points = [
+            (layer, flow, accelerator, DEFAULT_ENERGY_MODEL)
+            for flow in flows
+            for accelerator in accelerators
+        ]
+        _assert_batch_parity(points)
+        # The grid exercises both sides of the orbit-key certificate.
+        outcomes = {
+            integral_active(canonicalize(flow, layer), accelerator.num_pes)
+            for flow in flows
+            for accelerator in accelerators
+        }
+        assert {True, False} <= outcomes
+
+    def test_non_square_layer(self):
+        layer = conv2d("non-square", k=16, c=8, y=12, x=20, r=3, s=1)
+        flows = [flow for _, flow in yr_partitioned_variants()]
+        accelerators = _fig13_accelerators()[::7]
+        _assert_batch_parity(
+            [(layer, flow, acc, DEFAULT_ENERGY_MODEL) for flow in flows for acc in accelerators]
+        )
+
+    def test_fallback_mapping(self, layer):
+        flow = Dataflow(name="unresolvable", directives=(temporal_map("Sz(Q)", "Sz(Q)", D.K),))
+        assert canonicalize(flow, layer).fallback
+        points = [(layer, flow, acc, DEFAULT_ENERGY_MODEL) for acc in _fig13_accelerators()[:9]]
+        keys = _assert_batch_parity(points)
+        payload = dataflow_cache_payload(flow, layer, 16)
+        assert payload["name"] == "unresolvable"
+        assert payload["directives"][0][2] == "raw:Sz(Q)"
+        assert len(set(keys)) == len(keys)
+
+    def test_cluster_hierarchy_larger_than_pe_count(self, layer):
+        from repro.dataflow.library import kc_partitioned
+
+        flow = kc_partitioned(c_tile=64)
+        assert dataflow_cache_payload(flow, layer, 16)["name"] == flow.name
+        assert "name" not in dataflow_cache_payload(flow, layer, 64)
+        _assert_batch_parity([_point(layer, flow, pes) for pes in (16, 32, 64, 128, 16)])
+
+    def test_mixed_layers_and_energy_models(self, layer):
+        from repro.dataflow.library import kc_partitioned, yr_partitioned
+
+        layers = [
+            layer,
+            build("vgg16").layer("CONV11"),
+            conv2d("odd", k=6, c=3, y=9, x=7, r=3, s=1),
+        ]
+        energies = [DEFAULT_ENERGY_MODEL, EnergyModel(dram=100.0)]
+        flows = [kc_partitioned(c_tile=8), yr_partitioned()]
+        combos = [(i % 3, i % 2, i % 4, i % 5 % 2) for i in range(60)]
+        points = [
+            (layers[li], flows[fi], Accelerator(num_pes=16 << pi), energies[ei])
+            for li, fi, pi, ei in combos
+        ]
+        keys = _assert_batch_parity(points)
+        assert len(set(keys)) == len(set(combos))
+
+    def test_equal_but_distinct_objects(self, layer):
+        from repro.dataflow.library import kc_partitioned
+
+        flow = kc_partitioned(c_tile=8)
+        accelerator = Accelerator(num_pes=64, noc=NoC(bandwidth=8))
+        original = (layer, flow, accelerator, DEFAULT_ENERGY_MODEL)
+        clone = tuple(copy.deepcopy(item) for item in original)
+        assert all(a is not b and a == b for a, b in zip(original, clone))
+        keys = _assert_batch_parity([original, clone, original])
+        assert len(set(keys)) == 1
+        assert keys[0] == cache_key(*original) == EvalPoint(*clone).key()
+
+    def test_fresh_objects_from_a_generator(self):
+        # Objects that exist only while the batch is keyed: the memo holds
+        # them, so no id can be recycled for a different mapping mid-batch.
+        def fresh(i):
+            return (
+                conv2d("gen", k=4 + i % 3, c=8, y=8, x=8, r=3, s=3),
+                kc_partitioned_variants(c_tiles=(2 + i % 4,), spatial_tiles=((1, 1),))[0][1],
+                Accelerator(num_pes=16 + 16 * (i % 5)),
+                EnergyModel(mac=1.0 + i % 2),
+            )
+
+        keys = cache_keys(fresh(i) for i in range(40))
+        assert keys == [_one_shot_key(*fresh(i)) for i in range(40)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layer=key_layers,
+        specs=st.lists(key_specs, min_size=1, max_size=4),
+        pe_counts=st.lists(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), min_size=1, max_size=4),
+    )
+    def test_batch_keys_equal_one_shot_keys(self, layer, specs, pe_counts):
+        flows = [spec.build() for spec in specs]
+        _assert_batch_parity([_point(layer, flow, pes) for flow in flows for pes in pe_counts])
+
+    def test_one_shot_keyed_disk_entries_hit_a_batch_sweep(self, layer, tmp_path):
+        """A disk tier filled by the one-point key serves a whole sweep."""
+        space = DesignSpace(
+            pe_counts=[16, 32, 64],
+            noc_bandwidths=[4, 32],
+            dataflow_variants=kc_partitioned_variants(
+                c_tiles=(8, 64), spatial_tiles=((1, 1), (4, 4))
+            ),
+        )
+        seeded = AnalysisCache(disk_dir=tmp_path)
+        for num_pes in space.pe_counts:
+            for bandwidth in space.noc_bandwidths:
+                accelerator = Accelerator(num_pes=num_pes, noc=NoC(bandwidth=bandwidth))
+                for _, flow in space.dataflow_variants:
+                    point = EvalPoint(layer, flow, accelerator)
+                    outcome = evaluate_batch([point], cache=False).outcomes[0]
+                    seeded.put(point.key(), outcome)
+
+        budgets = dict(area_budget=16.0, power_budget=450.0)
+        cold = explore(layer, space, **budgets, cache=False)
+        fresh = AnalysisCache(disk_dir=tmp_path)
+        warm = explore(layer, space, **budgets, cache=fresh)
+        assert warm.statistics.cost_model_calls > 0
+        assert fresh.disk_hits > 0
+        assert warm.statistics.cache_hits == warm.statistics.cost_model_calls
+        assert warm.points == cold.points
+        assert warm.pareto() == cold.pareto()
+        assert warm.throughput_optimal == cold.throughput_optimal
+        assert warm.energy_optimal == cold.energy_optimal
+        assert warm.edp_optimal == cold.edp_optimal
 
 
 # ----------------------------------------------------------------------
