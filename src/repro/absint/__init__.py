@@ -21,6 +21,7 @@ from repro.absint.engine import (
     AbstractLevelStats,
     HardwareBox,
     abstract_analyze,
+    abstract_buffer_reqs,
 )
 from repro.absint.interval import (
     AbstractDomainError,
@@ -45,4 +46,5 @@ __all__ = [
     "TriBool",
     "abstract_analyze",
     "abstract_bind",
+    "abstract_buffer_reqs",
 ]

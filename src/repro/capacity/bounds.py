@@ -4,8 +4,9 @@ The analytical engine (:mod:`repro.engines.analysis`) sizes buffers with
 Figure 8's ``2 * max(working set)`` rule *after* running the full
 performance recursion. This module reproduces the exact same sizing
 formulas on the exact same :func:`bind_dataflow` output — binding plus
-one top-level reuse pass, no cost-model call — so the static peak bounds
-equal ``LayerAnalysis.l1_buffer_req`` / ``l2_buffer_req`` /
+the top level's unique-chunk volumes, no transition classes and no
+cost-model call — so the static peak bounds equal
+``LayerAnalysis.l1_buffer_req`` / ``l2_buffer_req`` /
 ``intermediate_buffer_reqs`` bit-for-bit. Soundness ("static >= engine
 and >= any instantaneous simulator occupancy") therefore holds with
 equality against the engine, and with the engine's own double-buffer
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engines.binding import BoundDataflow, bind_dataflow
-from repro.engines.reuse import analyze_level_reuse
+from repro.engines.reuse import level_unique_volumes
 from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
 from repro.dataflow.dataflow import Dataflow
 from repro.hardware.accelerator import Accelerator
@@ -163,10 +164,10 @@ def _bounds_from(
 
     # L2 (shared): the array-wide unique top-level chunk, dense-indexed
     # (divided by density, exactly as the engine stores sparse tensors).
-    top_reuse = analyze_level_reuse(bound.levels[0], tensors)
+    top_unique = level_unique_volumes(bound.levels[0], tensors)
     l2_elems = int(
         sum(
-            top_reuse.unique_chunk_volumes[info.name] / max(info.density, 1e-12)
+            top_unique[info.name] / max(info.density, 1e-12)
             for info in tensors.tensors
         )
     )
@@ -214,7 +215,9 @@ def compute_capacity_bounds(
     Peak bounds equal the engine's ``l1_buffer_req`` /
     ``l2_buffer_req`` / ``intermediate_buffer_reqs`` bit-for-bit (same
     binding, same formulas) at a fraction of the cost: binding, tensor
-    analysis, and one top-level reuse pass — no performance recursion.
+    analysis, and the top level's unique-chunk volumes
+    (:func:`~repro.engines.reuse.level_unique_volumes`) — no transition
+    classes and no performance recursion.
 
     Raises whatever :func:`bind_dataflow` raises when the mapping cannot
     bind; callers that prune must treat that as "uncertified, do not

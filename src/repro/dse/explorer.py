@@ -204,7 +204,6 @@ def explore(
         "dse",
         ScreenContext(
             layer,
-            energy_model,
             reduction_support=spatial_reduction,
             over_budget=lambda accelerator, l1, l2: size(accelerator, l1, l2) is None,
         ),

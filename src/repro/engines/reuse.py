@@ -201,6 +201,23 @@ def _full_chunk_traffic(
     return TensorTraffic(fetch, unique, fetch * active, stationary=False)
 
 
+def level_unique_volumes(level: BoundLevel, tensors: TensorAnalysis) -> Dict[str, float]:
+    """The array-wide unique chunk volume of every tensor at one level.
+
+    The union of all active sub-units' first chunks (halo-aware,
+    density-scaled), keyed in ``tensors.tensors`` order. At level 0 this
+    is the working set the Figure-8 rule sizes L2 from; it needs none of
+    the transition classes, so buffer sizing can run it alone.
+    """
+    sizes = level.chunk_sizes()
+    spatial_offsets = level.spatial_offsets
+    active = level.avg_active
+    return {
+        t.name: _full_chunk_traffic(t, sizes, spatial_offsets, active).unique
+        for t in tensors.tensors
+    }
+
+
 def analyze_level_reuse(level: BoundLevel, tensors: TensorAnalysis) -> LevelReuse:
     """Run reuse analysis for one bound level."""
     inc("reuse.levels_analyzed")
@@ -252,10 +269,7 @@ def analyze_level_reuse(level: BoundLevel, tensors: TensorAnalysis) -> LevelReus
     chunk_volumes = {
         t.name: t.volume(sizes) * t.density for t in tensors.tensors
     }
-    unique_chunk_volumes = {
-        t.name: _full_chunk_traffic(t, sizes, spatial_offsets, active).unique
-        for t in tensors.tensors
-    }
+    unique_chunk_volumes = level_unique_volumes(level, tensors)
 
     output = tensors.output
     outputs_per_sweep = output.volume(level.local_sizes) * output.density

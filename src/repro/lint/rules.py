@@ -834,9 +834,9 @@ def _check_l2_footprint(ctx: RuleContext) -> Iterator[Diagnostic]:
     if bound is None or tensors is None:
         return
     try:
-        from repro.engines.reuse import analyze_level_reuse
+        from repro.engines.reuse import level_unique_volumes
 
-        reuse = analyze_level_reuse(bound.levels[0], tensors)
+        unique = level_unique_volumes(bound.levels[0], tensors)
     except Exception:
         return
     buffering = 2 if ctx.accelerator.double_buffered else 1
@@ -844,7 +844,7 @@ def _check_l2_footprint(ctx: RuleContext) -> Iterator[Diagnostic]:
         buffering
         * int(
             sum(
-                reuse.unique_chunk_volumes[t.name] / max(t.density, 1e-12)
+                unique[t.name] / max(t.density, 1e-12)
                 for t in tensors.tensors
             )
         )

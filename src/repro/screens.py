@@ -38,7 +38,6 @@ from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import DataflowError
 from repro.hardware.accelerator import Accelerator
-from repro.hardware.energy import EnergyModel
 from repro.model.layer import Layer
 
 _LOG = logging.getLogger(__name__)
@@ -55,7 +54,6 @@ class ScreenContext:
     """What every screen of one ``explore``/``tune_layer`` run reads."""
 
     layer: Layer
-    energy_model: EnergyModel
     #: Whether the swept hardware has spatial reduction.
     reduction_support: bool
     #: The caller's buffer filter, or ``None`` when it checks no buffers.
@@ -139,16 +137,13 @@ def _capacity_fact(
 def _symbolic_fact(
     dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext
 ) -> Tuple[int, int]:
-    from repro.absint.engine import HardwareBox, abstract_analyze
+    from repro.absint.engine import HardwareBox, abstract_buffer_reqs
     from repro.absint.shapes import ShapeBox
 
-    analysis = abstract_analyze(
-        ShapeBox.from_layer(context.layer),
-        dataflow,
-        HardwareBox.from_accelerator(accelerator),
-        energy_model=context.energy_model,
+    l1, l2, _ = abstract_buffer_reqs(
+        ShapeBox.from_layer(context.layer), dataflow, HardwareBox.from_accelerator(accelerator)
     )
-    return analysis.l1_buffer_req.lo, analysis.l2_buffer_req.lo
+    return l1.lo, l2.lo
 
 
 def _over_budget(
@@ -240,7 +235,9 @@ SCREENS: Tuple[Screen, ...] = (
     # Symbolic (tuner only): the abstract interpreter's interval lower
     # bounds on the L1/L2 requirements enclose the concrete ones and the
     # buffer filter is monotone in both, so a lower bound the filter
-    # rejects proves the evaluated point would be rejected too.
+    # rejects proves the evaluated point would be rejected too. The fact
+    # is the buffer-only pass (binding, tensors, top-level unique
+    # volumes), whose intervals equal the full abstract analysis's.
     Screen(
         name="symbolic",
         keyword="symbolic_prune",

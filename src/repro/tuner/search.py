@@ -151,7 +151,6 @@ def tune_layer(
         "tuner",
         ScreenContext(
             layer,
-            energy_model,
             reduction_support=accelerator.reduction_support,
             over_budget=over_caps if capped else None,
         ),

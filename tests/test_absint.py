@@ -16,6 +16,7 @@ from repro.absint import (
     ShapeBox,
     abstract_analyze,
     abstract_bind,
+    abstract_buffer_reqs,
 )
 from repro.absint.interval import (
     i_ceil_div,
@@ -29,13 +30,20 @@ from repro.absint.interval import (
 )
 from repro.dataflow.library import table3_dataflows
 from repro.engines.analysis import analyze_layer
+from repro.equiv import library_flows
 from repro.errors import BindingError, DataflowError, LayerError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.lint import Severity, lint_symbolic
 from repro.lint.symbolic import PROVEN_FOR_RANGE, SYMBOLIC_RULES
 from repro.model.layer import conv2d
+from repro.model.zoo import build
 from repro.tensors import dims as D
-from repro.tuner.templates import SCHEDULES, SPATIAL_DIMS, CandidateSpec
+from repro.tuner.templates import (
+    SCHEDULES,
+    SPATIAL_DIMS,
+    CandidateSpec,
+    enumerate_candidates,
+)
 from repro.verify import crosscheck_abstract
 
 LAYER = conv2d("absint-layer", k=64, c=32, y=18, x=18, r=3, s=3)
@@ -174,6 +182,73 @@ def test_point_box_is_exact(name):
     assert abstract.runtime.lo == pytest.approx(concrete.runtime)
     assert abstract.l1_buffer_req.is_point
     assert abstract.l1_buffer_req.lo == concrete.l1_buffer_req
+
+
+# ----------------------------------------------------------------------
+# The buffer-only pass equals the full analysis's buffer intervals
+# ----------------------------------------------------------------------
+BUFFER_LAYERS = [
+    ("vgg16", "CONV2"),
+    ("resnet50", "CONV2_1b"),
+    ("mobilenet_v2", "BN2_1_dw"),
+    ("unet", "DOWN3_1"),
+]
+
+
+def _buffer_parity_flows():
+    flows = list(library_flows().values())
+    for spec in list(enumerate_candidates())[::37]:
+        try:
+            flows.append(spec.build())
+        except (BindingError, DataflowError):
+            continue
+    return flows
+
+
+def assert_buffer_parity(box, flow, hw):
+    """``abstract_buffer_reqs`` returns exactly ``abstract_analyze``'s
+    three buffer intervals, or raises exactly what it raises; returns
+    whether the analysis succeeded."""
+    try:
+        analysis = abstract_analyze(box, flow, hw)
+    except Exception as error:
+        with pytest.raises(Exception) as raised:
+            abstract_buffer_reqs(box, flow, hw)
+        assert type(raised.value) is type(error), flow.name
+        assert str(raised.value) == str(error), flow.name
+        return False
+    l1, l2, intermediates = abstract_buffer_reqs(box, flow, hw)
+    l1_full, l2_full = analysis.l1_buffer_req, analysis.l2_buffer_req
+    assert (l1.lo, l1.hi) == (l1_full.lo, l1_full.hi), flow.name
+    assert (l2.lo, l2.hi) == (l2_full.lo, l2_full.hi), flow.name
+    assert [(iv.lo, iv.hi) for iv in intermediates] == [
+        (iv.lo, iv.hi) for iv in analysis.intermediate_buffer_reqs
+    ], flow.name
+    return True
+
+
+@pytest.mark.parametrize("num_pes", [8, 64, 256])
+@pytest.mark.parametrize("model,layer_name", BUFFER_LAYERS)
+def test_buffer_reqs_equal_full_analysis(model, layer_name, num_pes):
+    """On 8 PEs some cluster hierarchies cannot bind, so both passes
+    must raise the same error; on 64 and 256 most mappings bind."""
+    box = ShapeBox.from_layer(build(model).layer(layer_name))
+    hw = HardwareBox.from_accelerator(Accelerator(num_pes=num_pes))
+    outcomes = [assert_buffer_parity(box, flow, hw) for flow in _buffer_parity_flows()]
+    assert sum(outcomes) >= 30
+    assert num_pes > 8 or not all(outcomes)
+
+
+def test_buffer_reqs_equal_full_analysis_on_interval_box():
+    """A K range and a PE range widen the intervals; they still match."""
+    box = ShapeBox.from_layer(LAYER, ranges={D.K: (32, 256)})
+    hw = HardwareBox(num_pes=IntervalInt(32, 128), bandwidth=IntervalInt.point(32))
+    widened = 0
+    for flow in _buffer_parity_flows():
+        if assert_buffer_parity(box, flow, hw):
+            _, l2, _ = abstract_buffer_reqs(box, flow, hw)
+            widened += not l2.is_point
+    assert widened > 0
 
 
 # ----------------------------------------------------------------------

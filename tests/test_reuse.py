@@ -5,8 +5,10 @@ import pytest
 from repro.dataflow.dataflow import dataflow
 from repro.dataflow.directives import Sz, spatial_map, temporal_map
 from repro.engines.binding import bind_dataflow
-from repro.engines.reuse import analyze_level_reuse, build_odometer
+from repro.engines.reuse import analyze_level_reuse, build_odometer, level_unique_volumes
 from repro.engines.tensor_analysis import analyze_tensors
+from repro.equiv import library_corpus
+from repro.errors import BindingError, DataflowError
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import conv2d
 from repro.tensors import dims as D
@@ -209,3 +211,27 @@ class TestSpatialReduction:
         )
         reuses, _ = analyze(flow, layer, 3)
         assert reuses[0].output_spatially_reduced
+
+
+@pytest.mark.parametrize("num_pes", [16, 256])
+def test_level_unique_volumes_equal_reuse_analysis(num_pes):
+    """The buffer-sizing shortcut is the reuse pass's own volumes: same
+    values, same key order, on every level; and each equals the union of
+    the sub-units' first chunks (the init class's ``unique``)."""
+    accelerator = Accelerator(num_pes=num_pes)
+    levels = 0
+    for layer, flow in library_corpus(models=["vgg16", "mobilenet_v2"])[::5]:
+        try:
+            bound = bind_dataflow(flow, layer, accelerator)
+        except (BindingError, DataflowError):
+            continue
+        tensors = analyze_tensors(layer, bound.row_rep, bound.col_rep)
+        for level in bound.levels:
+            reuse = analyze_level_reuse(level, tensors)
+            volumes = level_unique_volumes(level, tensors)
+            assert list(volumes.items()) == list(reuse.unique_chunk_volumes.items())
+            assert volumes == {
+                name: traffic.unique for name, traffic in reuse.init.traffic.items()
+            }
+            levels += 1
+    assert levels >= 100

@@ -19,7 +19,6 @@ from repro.comm import classify_dataflow
 from repro.dse.explorer import DSEStatistics, explore
 from repro.dse.space import DesignSpace, default_bandwidths, kc_partitioned_variants
 from repro.hardware.accelerator import Accelerator
-from repro.hardware.energy import DEFAULT_ENERGY_MODEL
 from repro.lint.engine import static_errors
 from repro.model.zoo import build
 from repro.screens import (
@@ -52,7 +51,7 @@ def candidates():
 
 
 def _runner(layer, keyword, reduction_support=True):
-    context = ScreenContext(layer, DEFAULT_ENERGY_MODEL, reduction_support, None)
+    context = ScreenContext(layer, reduction_support, None)
     return ScreenRunner("tuner", context, {keyword: True})
 
 
@@ -146,7 +145,7 @@ def test_interval_lower_bound_never_exceeds_certified_peak(candidates):
     So on the same buffer filter the symbolic screen cannot reject a
     candidate the capacity screen keeps.
     """
-    from repro.absint.engine import HardwareBox, abstract_analyze
+    from repro.absint.engine import HardwareBox, abstract_buffer_reqs
     from repro.absint.shapes import ShapeBox
     from repro.capacity import compute_capacity_bounds
 
@@ -160,9 +159,9 @@ def test_interval_lower_bound_never_exceeds_certified_peak(candidates):
             if static_errors(dataflow, layer, accelerator):
                 continue
             bounds = compute_capacity_bounds(dataflow, layer, accelerator)
-            analysis = abstract_analyze(box, dataflow, hardware)
-            assert analysis.l1_buffer_req.lo <= bounds.l1.peak_bytes, dataflow.name
-            assert analysis.l2_buffer_req.lo <= bounds.l2.peak_bytes, dataflow.name
+            l1, l2, _ = abstract_buffer_reqs(box, dataflow, hardware)
+            assert l1.lo <= bounds.l1.peak_bytes, dataflow.name
+            assert l2.lo <= bounds.l2.peak_bytes, dataflow.name
             checked += 1
     assert checked >= 300
 
@@ -192,6 +191,26 @@ class TestUncertified:
         reached = len(specs) - plain.statically_rejected
         assert obs.counter_value("screen.uncertified.verify") == reached > 0
 
+    def test_tuner_keeps_candidates_when_symbolic_raises(self, monkeypatch):
+        import repro.absint.engine
+
+        layer = build("vgg16").layer("CONV2")
+        accelerator = Accelerator(num_pes=64)
+        specs = list(enumerate_candidates())[:24]
+        caps = {"max_l1_bytes": 256}
+        plain = tune_layer(layer, accelerator, candidates=specs, cache=False, **caps)
+        monkeypatch.setattr(repro.absint.engine, "abstract_buffer_reqs", self._raise)
+        obs.configure(enabled=True, reset=True)
+        screened = tune_layer(
+            layer, accelerator, candidates=specs, cache=False, symbolic_prune=True, **caps
+        )
+        assert screened.symbolic_rejected == 0
+        assert screened.evaluated == plain.evaluated
+        assert screened.rejected == plain.rejected
+        assert screened.top == plain.top
+        reached = len(specs) - plain.statically_rejected
+        assert obs.counter_value("screen.uncertified.symbolic") == reached > 0
+
     def test_explorer_keeps_points_when_capacity_raises(self, monkeypatch):
         import repro.capacity
 
@@ -209,3 +228,20 @@ class TestUncertified:
         assert screened.points == plain.points
         reached = plain.statistics.cost_model_calls
         assert obs.counter_value("screen.uncertified.capacity") == reached > 0
+
+
+def test_tuner_buffer_screens_reject_the_same_candidates():
+    """Regression pin for the perfbench tune-mapping caps: the symbolic
+    and capacity screens reject the same 590 of 1,344 candidates, and
+    neither changes the result."""
+    layer = build("resnet50").layer("CONV2_1b")
+    accelerator = Accelerator(num_pes=256)
+    caps = {"max_l1_bytes": 512, "max_l2_bytes": 200_000}
+    plain = tune_layer(layer, accelerator, cache=False, **caps)
+    symbolic = tune_layer(layer, accelerator, cache=False, symbolic_prune=True, **caps)
+    capacity = tune_layer(layer, accelerator, cache=False, capacity_prune=True, **caps)
+    assert symbolic.symbolic_rejected == capacity.capacity_rejected == 590
+    for screened in (symbolic, capacity):
+        assert screened.top == plain.top
+        assert screened.evaluated == plain.evaluated
+        assert screened.rejected == plain.rejected
