@@ -32,12 +32,8 @@ from repro.errors import BindingError, DataflowError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL
 from repro.model.zoo import build
-from repro.vector import (
-    VectorLoweringError,
-    crosscheck_vector,
-    evaluate_grid,
-    lower_group,
-)
+from repro.vector import VectorLoweringError, evaluate_grid, lower_group
+from repro.verify.differential import run_vector
 
 BANDWIDTHS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -106,12 +102,12 @@ def run_benchmark(max_pes: int, repeats: int, scalar_sample: int) -> dict:
         # Parity first (full grid, zero tolerance): the speedup is
         # meaningless if the vectorized results are wrong.
         try:
-            report = crosscheck_vector(layer, dataflow, grid, rtol=0.0)
+            report = run_vector(layer, dataflow, grid)
         except VectorLoweringError:
             fallbacks += len(grid)
             per_dataflow[name] = {"vectorized": False}
             continue
-        parity_points += report.points_checked
+        parity_points += report.counts["points_checked"]
         parity_violations += len(report.mismatches)
 
         vector_spp = time_vector(layer, dataflow, grid, repeats)

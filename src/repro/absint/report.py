@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.absint.engine import HardwareBox
     from repro.absint.shapes import ShapeBox
@@ -64,7 +66,7 @@ def symbolic_envelope(
     payload["diagnostics"] = [d.to_dict() for d in lint_report.diagnostics]
     try:
         analysis = abstract_analyze(box, dataflow, hw, energy_model=model)
-    except Exception as error:
+    except ReproError as error:
         payload["status"] = "unbindable"
         payload["error"] = str(error)
         return payload
@@ -83,16 +85,14 @@ def symbolic_envelope(
         "edp": _span(analysis.edp),
     }
     if crosscheck:
-        from repro.verify.crosscheck import crosscheck_abstract
+        from repro.verify.differential import run_abstract
 
-        check = crosscheck_abstract(
-            box, dataflow, hw, abstract=analysis, energy_model=model
-        )
+        check = run_abstract(box, dataflow, hw, analysis=analysis, energy_model=model)
         payload["crosscheck"] = {
-            "samples": check.samples,
-            "bind_failures": check.bind_failures,
+            "samples": check.counts["samples"],
+            "bind_failures": check.counts["bind_failures"],
             "ok": check.ok,
-            "violations": [v.describe() for v in check.violations],
+            "violations": [m.describe() for m in check.mismatches],
         }
     return payload
 

@@ -11,9 +11,9 @@ The bounds reproduce the analytical engine's Figure-8 buffer sizing
 formulas bit-for-bit on the same bound mapping, so "static bound >=
 engine requirement" holds with equality by construction; the roofline
 floors are provable lower bounds of the engine's performance recursion.
-Both facts are continuously re-checked by :func:`crosscheck_capacity`
-(``repro verify --capacity``) against the analytical engine and the
-simulator's double-buffer occupancy walk.
+Both facts are continuously re-checked by ``repro verify --check
+capacity`` (:mod:`repro.verify.differential`) against the analytical
+engine and the simulator's double-buffer occupancy walk.
 
 Consumers:
 
@@ -30,12 +30,6 @@ from repro.capacity.bounds import (
     LevelOccupancy,
     compute_capacity_bounds,
 )
-from repro.capacity.crosscheck import (
-    CapacityCrosscheckReport,
-    CapacityMismatch,
-    capacity_corpus,
-    crosscheck_capacity,
-)
 from repro.capacity.prune import capacity_requirements
 from repro.capacity.report import (
     capacity_rows,
@@ -50,16 +44,12 @@ from repro.capacity.roofline import (
 __all__ = [
     "CAPACITY_PROVENANCE",
     "CapacityBounds",
-    "CapacityCrosscheckReport",
-    "CapacityMismatch",
     "LevelOccupancy",
     "RooflineCertificate",
-    "capacity_corpus",
     "capacity_requirements",
     "capacity_rows",
     "classify_roofline",
     "compute_capacity_bounds",
-    "crosscheck_capacity",
     "render_capacity_summary",
     "render_capacity_table",
 ]

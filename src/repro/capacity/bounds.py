@@ -11,7 +11,7 @@ cost-model call — so the static peak bounds equal
 and >= any instantaneous simulator occupancy") therefore holds with
 equality against the engine, and with the engine's own double-buffer
 margin against the simulator walk (see
-:mod:`repro.capacity.crosscheck`).
+:mod:`repro.verify.differential`).
 
 Monotonicity: every bound is a sum of products of per-dimension clamped
 tile extents (times density), so enlarging any directive size — holding

@@ -21,8 +21,8 @@ declared buffer capacity cannot admit the peak occupancy bound the
 verdict is ``capacity-infeasible`` regardless of the floors.
 
 Both floors are provable lower bounds of
-``LayerAnalysis.level_stats[0].runtime_sweep``; the crosscheck
-(``repro verify --capacity``) enforces exactly that against the real
+``LayerAnalysis.level_stats[0].runtime_sweep``; the differential check
+(``repro verify --check capacity``) enforces exactly that against the real
 engine on every corpus pair.
 """
 

@@ -20,10 +20,10 @@ Subcommands:
 - ``verify`` — prove (or refute with a concrete MAC counterexample)
   that a mapping covers a layer's compute space exactly once;
   ``--library`` checks every stock mapping, ``--audit`` classifies
-  which lint rules the verifier certifies as sound, ``--comm``
-  differentially replays the communication classifier against the
-  reuse engine and brute-force PE access-set enumeration; exits 1 when
-  any mapping is not proven (or any classification disagrees);
+  which lint rules the verifier certifies as sound, and ``--check
+  {comm,capacity,equiv}`` instead replays one analyzer's closed forms
+  against independent oracles (:mod:`repro.verify.differential`);
+  exits 1 when any mapping is not proven (or any oracle disagrees);
 - ``validate`` — compare the analytical model against the reference
   simulator on a layer;
 - ``dse`` — run a small hardware design-space exploration for a layer
@@ -61,7 +61,7 @@ from typing import Dict, List, Optional
 
 from repro.adaptive import adaptive_analysis
 from repro.dataflow.dataflow import Dataflow
-from repro.dataflow.library import table3_dataflows
+from repro.dataflow.library import stock_dataflows, table3_dataflows
 from repro.dataflow.parser import parse_dataflow
 from repro.engines.analysis import analyze_layer
 from repro.hardware.accelerator import Accelerator, NoC
@@ -397,23 +397,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.has_errors else 0
 
 
-def _stock_catalog() -> "dict":
-    """Every mapping the library ships, keyed like the golden tests."""
-    from repro.dataflow.library import (
-        fig5_playground,
-        output_stationary_1level,
-        row_stationary_fig6,
-        weight_stationary_1level,
-    )
-
-    catalog = dict(table3_dataflows())
-    catalog.update({f"fig5-{key}": flow for key, flow in fig5_playground().items()})
-    catalog["RS"] = row_stationary_fig6()
-    catalog["WS-K"] = weight_stationary_1level()
-    catalog["OS-YX"] = output_stationary_1level()
-    return catalog
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
@@ -434,7 +417,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"    - {line}")
         return 0
 
-    catalog = _stock_catalog()
+    catalog = stock_dataflows()
     flows: "dict" = {}
     if args.library:
         flows.update(catalog)
@@ -469,13 +452,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             conv2d("verify-strided", k=8, c=8, y=19, x=19, r=3, s=3, stride=2),
         ]
 
-    if args.comm:
-        from repro.verify import crosscheck_comm
+    if args.check:
+        from repro.verify.differential import run
 
-        reports = []
-        for name, flow in flows.items():
-            for layer in layers:
-                reports.append(crosscheck_comm(flow, layer))
+        reports = run(
+            args.check, [(layer, flow) for flow in flows.values() for layer in layers]
+        )
         all_ok = all(report.ok for report in reports)
         if args.format == "json":
             payload = {
@@ -484,36 +466,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
             print(json.dumps(payload, indent=2))
         else:
+            totals: Dict[str, int] = {}
             for report in reports:
                 print(report.render())
+                for name, value in report.counts.items():
+                    totals[name] = totals.get(name, 0) + value
             agree = sum(report.ok for report in reports)
+            summary = ", ".join(f"{value} {name}" for name, value in totals.items())
             print(
-                f"{agree}/{len(reports)} mapping-layer classifications agree "
-                "with both oracles (reuse engine + brute-force enumeration)"
-            )
-        return 0 if all_ok else 1
-
-    if args.capacity:
-        from repro.verify import crosscheck_capacity
-
-        reports = []
-        for name, flow in flows.items():
-            for layer in layers:
-                reports.append(crosscheck_capacity(flow, layer))
-        all_ok = all(report.ok for report in reports)
-        if args.format == "json":
-            payload = {
-                "reports": [report.to_dict() for report in reports],
-                "all_ok": all_ok,
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            for report in reports:
-                print(report.render())
-            agree = sum(report.ok for report in reports)
-            print(
-                f"{agree}/{len(reports)} mapping-layer capacity bounds agree "
-                "with both oracles (cost-engine sizing + occupancy simulation)"
+                f"{agree}/{len(reports)} mapping-layer pairs agree with the "
+                f"{args.check} oracles ({summary})"
             )
         return 0 if all_ok else 1
 
@@ -784,6 +746,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+class _DifferentialChecks:
+    """``verify --check`` choices: the :mod:`repro.verify.differential`
+    registry, imported on first use so building the parser stays cheap."""
+
+    def __iter__(self):
+        from repro.verify.differential import CHECKS
+
+        return iter(sorted(CHECKS))
+
+    def __contains__(self, name: object) -> bool:
+        return name in set(self)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``maestro-repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
@@ -949,7 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_verify = sub.add_parser(
-        "verify", help="prove exactly-once MAC coverage of a mapping"
+        "verify",
+        help="prove exactly-once MAC coverage of a mapping, or (--check) "
+        "differentially verify an analyzer against its oracles",
     )
     p_verify.add_argument(
         "targets",
@@ -967,18 +944,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="classify which lint rules the verifier certifies as sound",
     )
     p_verify.add_argument(
-        "--comm",
-        action="store_true",
-        help="differentially verify the communication classifier against "
-        "the reuse engine and brute-force PE access-set enumeration; "
-        "exits 1 on any mismatch",
-    )
-    p_verify.add_argument(
-        "--capacity",
-        action="store_true",
-        help="differentially verify the static capacity bounds against "
-        "the cost engine's buffer sizing and an occupancy simulation; "
-        "exits 1 on any violation",
+        "--check",
+        choices=_DifferentialChecks(),
+        metavar="CHECK",
+        help="instead of coverage, replay one analyzer's closed forms "
+        "against independent oracles (comm: classifier vs reuse engine and "
+        "brute-force PE access sets; capacity: buffer bounds vs engine "
+        "sizing and an occupancy walk; equiv: canonical and transposed "
+        "twins vs bit-exact replays); exits 1 on any mismatch",
     )
     p_verify.add_argument(
         "--model", choices=sorted(MODELS), help="zoo model to verify against"

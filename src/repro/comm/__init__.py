@@ -5,7 +5,8 @@ multicast / unicast / neighbor-forwarding / reduction fan-in with an
 exact sharing degree (:mod:`repro.comm.classify`), validates every
 claim against brute-force PE access-set enumeration
 (:mod:`repro.comm.enumerate`) and the reuse engine via the
-differential cross-check (:mod:`repro.comm.crosscheck`), and renders
+differential check ``verify --check comm``
+(:mod:`repro.verify.differential`), and renders
 the results for the CLI (:mod:`repro.comm.report`). The DF300-series
 lint rules and the DSE/tuner ``comm_prune`` capability screens are
 built on these classifications.
@@ -25,7 +26,6 @@ from repro.comm.classify import (
     classify_level,
     reduction_demand,
 )
-from repro.comm.crosscheck import CommCrosscheckReport, CommMismatch, crosscheck_comm
 from repro.comm.enumerate import (
     DEFAULT_MAX_UNITS,
     BruteForceComm,
@@ -40,8 +40,6 @@ __all__ = [
     "STATIC_PROVENANCE",
     "BruteForceComm",
     "CommAnalysis",
-    "CommCrosscheckReport",
-    "CommMismatch",
     "CommPattern",
     "LevelComm",
     "ReductionDemand",
@@ -52,7 +50,6 @@ __all__ = [
     "classify_dataflow",
     "classify_level",
     "comm_rows",
-    "crosscheck_comm",
     "reduction_demand",
     "render_comm_summary",
     "render_comm_table",

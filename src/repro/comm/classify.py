@@ -37,7 +37,7 @@ over the axes with ``sigma_a > 0`` (unconstrained axes are shared by
 everyone), where ``active = min(width, spatial_chunks)`` is the number
 of concurrently active sub-units in one fold. Every
 :class:`TensorComm` carries this formula spelled out plus a provenance
-string; :mod:`repro.comm.crosscheck` replays each claim against the
+string; :mod:`repro.verify.differential` replays each claim against the
 reuse engine and against brute-force PE access-set enumeration.
 """
 

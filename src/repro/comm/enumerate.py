@@ -17,7 +17,7 @@ algebra:
 
 and the sharing degree is the literal maximum, over elements, of how
 many sub-units touch the element. The differential cross-check
-(:mod:`repro.comm.crosscheck`) compares these ground-truth verdicts
+(:mod:`repro.verify.differential`) compares these ground-truth verdicts
 with the classifier's closed form on every golden mapping and on
 randomized mappings in the property-test suite.
 

@@ -261,3 +261,24 @@ def output_stationary_1level() -> Dataflow:
             temporal_map(Sz(D.S), Sz(D.S), D.S),
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# The stock catalog
+# ----------------------------------------------------------------------
+def stock_dataflows(include_playground: bool = True) -> Dict[str, Dataflow]:
+    """Every mapping the library ships, keyed by catalog name.
+
+    Keys equal the dataflow names except the Figure 6 row-stationary
+    mapping, keyed ``"RS"`` (its name is ``row-stationary-fig6``).
+    ``include_playground=False`` drops the Figure 5 teaching mappings —
+    useful where the catalog serves as a quality reference (DF403)
+    rather than a coverage corpus.
+    """
+    flows = table3_dataflows()
+    if include_playground:
+        flows.update({f"fig5-{key}": flow for key, flow in fig5_playground().items()})
+    flows["RS"] = row_stationary_fig6()
+    flows["WS-K"] = weight_stationary_1level()
+    flows["OS-YX"] = output_stationary_1level()
+    return flows

@@ -7,8 +7,9 @@ theorem about the binding/reuse engines), :mod:`~repro.equiv.symmetry`
 detects the layer's row/column transposition symmetry and decides when
 quotienting by it is bit-exact, :mod:`~repro.equiv.dominance` issues
 static no-worse-than certificates over hardware boxes via the interval
-abstract interpreter, and :mod:`~repro.equiv.crosscheck` differentially
-re-proves the exactness claims over the shipped corpus. The canonical
+abstract interpreter, and ``verify --check equiv``
+(:mod:`repro.verify.differential`) re-proves the exactness claims over
+the shipped corpus. The canonical
 key is the exec cache's content address, and DSE/tune use the quotient
 for sound ``--equiv-prune`` replay. See ``docs/equivalence-analysis.md``.
 """
@@ -22,14 +23,6 @@ from repro.equiv.canonical import (
     canonical_key,
     canonicalize,
     key_to_json,
-)
-from repro.equiv.crosscheck import (
-    EquivCrosscheckReport,
-    EquivMismatch,
-    crosscheck_corpus,
-    crosscheck_equiv,
-    library_corpus,
-    library_flows,
 )
 from repro.equiv.dominance import (
     DOMINANCE_PROVENANCE,
@@ -56,8 +49,6 @@ __all__ = [
     "DimSymmetry",
     "DominanceCertificate",
     "EQUIV_PROVENANCE",
-    "EquivCrosscheckReport",
-    "EquivMismatch",
     "Key",
     "OBJECTIVES",
     "TRANSPOSE",
@@ -65,14 +56,10 @@ __all__ = [
     "canonical_dataflow",
     "canonical_key",
     "canonicalize",
-    "crosscheck_corpus",
-    "crosscheck_equiv",
     "dominance_certificate",
     "integral_active",
     "key_to_json",
     "layer_symmetries",
-    "library_corpus",
-    "library_flows",
     "operator_transposable",
     "orbit_key",
     "transpose_dataflow",

@@ -3,8 +3,8 @@
 Many directive-list spellings describe the *same* schedule. Three
 normalizations are exact with respect to the cluster-analysis and reuse
 engines (each is a theorem about :mod:`repro.engines`, empirically
-re-proven bit-for-bit by :func:`repro.equiv.crosscheck.crosscheck_equiv`
-over the full zoo × library corpus):
+re-proven bit-for-bit by ``verify --check equiv``, see
+:mod:`repro.verify.differential`, over the full zoo × library corpus):
 
 1. **Size evaluation + clamping.** Binding evaluates every symbolic
    size/offset against the layer and clamps map sizes to the local
@@ -162,7 +162,7 @@ def canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
 
     Exact: analyzing the canonical form is bit-identical to analyzing
     the original on every accelerator (see the module docstring for the
-    argument, :mod:`repro.equiv.crosscheck` for the empirical proof).
+    argument, :mod:`repro.verify.differential` for the empirical proof).
     Falls back to the identity form whenever exactness cannot be
     certified.
     """

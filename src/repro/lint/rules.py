@@ -1302,7 +1302,7 @@ def _check_redundant_directive(ctx: RuleContext) -> Iterator[Diagnostic]:
     so the directive is inert and the binding engine would infer an
     identical one if it were absent. Removing it is exact (theorem 2 of
     :mod:`repro.equiv.canonical`, re-proven bit-for-bit by
-    ``crosscheck_equiv``). The last directive naming ``Y'``/``X'`` is
+    ``verify --check equiv``). The last directive naming ``Y'``/``X'`` is
     exempt — its presence selects the output-coordinate representation.
     """
     flow = _equiv_dataflow(ctx)
@@ -1386,8 +1386,8 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
     flow = _equiv_dataflow(ctx)
     if flow is None or ctx.layer is None:
         return
+    from repro.dataflow.library import stock_dataflows
     from repro.equiv.canonical import EQUIV_PROVENANCE, canonicalize
-    from repro.equiv.crosscheck import library_flows
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     symmetries = layer_symmetries(ctx.layer)
@@ -1398,7 +1398,7 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
         return
     own_key = form.key
     own_orbit = orbit_key(own_key, symmetries)
-    for lib_name, lib_flow in sorted(library_flows().items()):
+    for lib_flow in sorted(stock_dataflows().values(), key=lambda f: f.name):
         lib_key = canonicalize(lib_flow, ctx.layer).key
         if lib_key == own_key:
             continue  # identical schedule, not a twin
@@ -1406,7 +1406,7 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
             yield ctx.diag(
                 "DF402",
                 f"{ctx.name}: on {ctx.layer.name} this mapping is the "
-                f"row/column transpose of library dataflow {lib_name!r} — a "
+                f"row/column transpose of library dataflow {lib_flow.name!r} — a "
                 f"mirror-image schedule with identical cost structure",
                 provenance=EQUIV_PROVENANCE,
             )
@@ -1432,15 +1432,16 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return
     from repro.absint import HardwareBox
+    from repro.dataflow.library import stock_dataflows
     from repro.equiv.canonical import canonicalize
-    from repro.equiv.crosscheck import library_flows
     from repro.equiv.dominance import DOMINANCE_PROVENANCE, dominance_certificate
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     hw = HardwareBox.from_accelerator(ctx.accelerator)
     symmetries = layer_symmetries(ctx.layer)
     own_orbit = orbit_key(canonicalize(flow, ctx.layer).key, symmetries)
-    for lib_name, lib_flow in sorted(library_flows(include_playground=False).items()):
+    library = stock_dataflows(include_playground=False).values()
+    for lib_flow in sorted(library, key=lambda f: f.name):
         lib_orbit = orbit_key(canonicalize(lib_flow, ctx.layer).key, symmetries)
         if lib_orbit == own_orbit:
             continue
@@ -1450,7 +1451,7 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
         yield ctx.diag(
             "DF403",
             f"{ctx.name}: statically dominated on {ctx.layer.name} — "
-            f"library dataflow {lib_name!r} is provably no worse: "
+            f"library dataflow {lib_flow.name!r} is provably no worse: "
             f"{certificate.describe()}",
             provenance=DOMINANCE_PROVENANCE,
         )

@@ -4,7 +4,8 @@ Evaluates an entire hardware grid (``num_pes`` x NoC bandwidth) for one
 (layer, dataflow) pair in a handful of NumPy array operations instead
 of one Python pipeline run per point, with bit-identical results. See
 ``docs/vectorized-engine.md`` for the lowering rules, the fallback
-semantics, and the tolerance policy.
+semantics, and the tolerance policy; parity with the scalar
+``analyze_layer`` is checked by :func:`repro.verify.differential.run_vector`.
 
 Public API:
 
@@ -13,19 +14,15 @@ Public API:
   axes folded to constants).
 - :func:`evaluate_grid` — run one lowered group over concrete grid
   points, returning per-point :class:`~repro.exec.serialize.EvalOutcome`.
-- :func:`crosscheck_vector` — differential parity verifier against the
-  scalar ``analyze_layer``.
 - :class:`VectorLoweringError` — raised for groups outside the
   expressible space; the batch backend then falls back to the scalar
   engines point by point.
 """
 
-from repro.vector.crosscheck import (
-    CrosscheckReport,
-    Mismatch,
-    compare_outcomes,
-    crosscheck_vector,
-)
+# The batch backend imports this engine and the engine imports the
+# backend package's outcome type: load the backend first, so that
+# either package can be imported on its own.
+import repro.exec  # noqa: F401
 from repro.vector.engine import evaluate_grid
 from repro.vector.lower import (
     LoweredGroup,
@@ -36,13 +33,9 @@ from repro.vector.lower import (
 )
 
 __all__ = [
-    "CrosscheckReport",
-    "Mismatch",
     "LoweredGroup",
     "VectorLoweringError",
     "accelerator_template",
-    "compare_outcomes",
-    "crosscheck_vector",
     "evaluate_grid",
     "group_key",
     "lower_group",

@@ -15,7 +15,7 @@ structural branches (which transition classes exist, which axes move)
 are provably grid-independent, so the class structure is computed once.
 The only per-point structural case — a spatial fold collapsing to one
 step (``folds == 1``) — keeps its transition class with ``count == 0``,
-which is inert in every downstream sum. The crosscheck suite asserts
+which is inert in every downstream sum. The differential check asserts
 bit-identical agreement, not just tolerance.
 """
 

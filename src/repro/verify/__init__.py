@@ -5,25 +5,12 @@ clamped-tile schedule covers the layer's compute space exactly once.
 :func:`verify_dataflow` is the entry point; :mod:`repro.verify.audit`
 classifies which lint rules the verifier certifies as sound, and
 :mod:`repro.verify.reference` is the independent brute-force executor
-the differential tests compare against.
+the differential tests compare against. :mod:`repro.verify.differential`
+replays the other analyzers' closed forms against their oracles
+(``verify --check``).
 """
 
-from repro.capacity.crosscheck import (
-    CapacityCrosscheckReport,
-    CapacityMismatch,
-    crosscheck_capacity,
-)
-from repro.comm.crosscheck import (
-    CommCrosscheckReport,
-    CommMismatch,
-    crosscheck_comm,
-)
 from repro.verify.audit import RuleAudit, audit_rules
-from repro.verify.crosscheck import (
-    CrosscheckReport,
-    CrosscheckViolation,
-    crosscheck_abstract,
-)
 from repro.verify.engine import DEFAULT_BUDGET, count_group_point, verify_dataflow
 from repro.verify.reference import REFERENCE_DIMS, brute_force_counts, total_cells
 from repro.verify.result import (
@@ -37,13 +24,7 @@ from repro.verify.schedule import bind_for_verification, required_pes
 __all__ = [
     "DEFAULT_BUDGET",
     "REFERENCE_DIMS",
-    "CapacityCrosscheckReport",
-    "CapacityMismatch",
-    "CommCrosscheckReport",
-    "CommMismatch",
     "Counterexample",
-    "CrosscheckReport",
-    "CrosscheckViolation",
     "GroupReport",
     "RuleAudit",
     "Verdict",
@@ -52,9 +33,6 @@ __all__ = [
     "bind_for_verification",
     "brute_force_counts",
     "count_group_point",
-    "crosscheck_abstract",
-    "crosscheck_capacity",
-    "crosscheck_comm",
     "required_pes",
     "total_cells",
     "verify_dataflow",

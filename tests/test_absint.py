@@ -28,9 +28,8 @@ from repro.absint.interval import (
     tri_gt,
     tri_not,
 )
-from repro.dataflow.library import table3_dataflows
+from repro.dataflow.library import stock_dataflows, table3_dataflows
 from repro.engines.analysis import analyze_layer
-from repro.equiv import library_flows
 from repro.errors import BindingError, DataflowError, LayerError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.lint import Severity, lint_symbolic
@@ -44,7 +43,7 @@ from repro.tuner.templates import (
     CandidateSpec,
     enumerate_candidates,
 )
-from repro.verify import crosscheck_abstract
+from repro.verify.differential import run_abstract
 
 LAYER = conv2d("absint-layer", k=64, c=32, y=18, x=18, r=3, s=3)
 
@@ -196,7 +195,7 @@ BUFFER_LAYERS = [
 
 
 def _buffer_parity_flows():
-    flows = list(library_flows().values())
+    flows = list(stock_dataflows().values())
     for spec in list(enumerate_candidates())[::37]:
         try:
             flows.append(spec.build())
@@ -471,9 +470,9 @@ def test_crosscheck_passes_on_library_dataflows():
     box = ShapeBox.from_layer(LAYER, ranges={D.K: (32, 256), D.C: (16, 64)})
     hw = HardwareBox(num_pes=IntervalInt(32, 128), bandwidth=IntervalInt(16, 64))
     for name, flow in table3_dataflows().items():
-        report = crosscheck_abstract(box, flow, hw)
-        assert report.ok, f"{name}: {[v.describe() for v in report.violations]}"
-        assert report.samples > 0
+        report = run_abstract(box, flow, hw)
+        assert report.ok, f"{name}: {[m.describe() for m in report.mismatches]}"
+        assert report.counts["samples"] > 0
 
 
 def test_crosscheck_rejects_foreign_sample():
@@ -481,9 +480,31 @@ def test_crosscheck_rejects_foreign_sample():
     hw = HardwareBox(num_pes=IntervalInt.point(64), bandwidth=IntervalInt.point(32))
     outsider = conv2d("outsider", k=999, c=32, y=18, x=18, r=3, s=3)
     with pytest.raises(ValueError):
-        crosscheck_abstract(
-            box, table3_dataflows()["C-P"], hw, layers=[outsider]
-        )
+        run_abstract(box, table3_dataflows()["C-P"], hw, layers=[outsider])
+
+
+def test_crosscheck_propagates_non_binding_errors(monkeypatch):
+    """Only typed model rejections count as bind failures; a bug in the
+    concrete engine surfaces instead of hiding in the count."""
+    from repro.verify import differential
+
+    box = ShapeBox.from_layer(LAYER)
+    hw = HardwareBox(num_pes=IntervalInt.point(64), bandwidth=IntervalInt.point(32))
+    flow = table3_dataflows()["C-P"]
+
+    def rejects(*args):
+        raise BindingError("planted rejection")
+
+    monkeypatch.setattr(differential, "analyze_layer", rejects)
+    report = run_abstract(box, flow, hw)
+    assert report.ok and report.counts["bind_failures"] == report.counts["samples"] > 0
+
+    def crashes(*args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(differential, "analyze_layer", crashes)
+    with pytest.raises(RuntimeError, match="planted bug"):
+        run_abstract(box, flow, hw)
 
 
 # ----------------------------------------------------------------------

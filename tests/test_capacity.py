@@ -20,13 +20,13 @@ from repro.capacity import (
     CAPACITY_PROVENANCE,
     classify_roofline,
     compute_capacity_bounds,
-    crosscheck_capacity,
 )
 from repro.dataflow.library import kc_partitioned, table3_dataflows
 from repro.engines.analysis import analyze_layer
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
 from repro.model.zoo import build
+from repro.verify.differential import run
 
 
 @pytest.fixture(scope="module")
@@ -152,12 +152,12 @@ class TestCrosscheck:
     @pytest.mark.parametrize("flow_name", sorted(table3_dataflows()))
     def test_zoo_sample_agrees(self, layer, flow_name):
         flow = table3_dataflows()[flow_name]
-        report = crosscheck_capacity(flow, layer)
+        (report,) = run("capacity", [(layer, flow)])
         assert report.ok, report.render()
-        assert report.engine_exact
+        assert report.counts["engine_exact"]
 
     def test_render_mentions_verdict(self, layer):
-        report = crosscheck_capacity(kc_partitioned(), layer)
+        (report,) = run("capacity", [(layer, kc_partitioned())])
         assert "AGREE" in report.render()
         assert report.to_dict()["ok"] is True
 

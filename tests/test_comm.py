@@ -380,7 +380,7 @@ class TestCommCLI:
             )
 
     def test_verify_comm(self, capsys):
-        assert main(["verify", "--comm", "KC-P", "OS-YX"]) == 0
+        assert main(["verify", "--check", "comm", "KC-P", "OS-YX"]) == 0
         out = capsys.readouterr().out
         assert "AGREE" in out and "DISAGREE" not in out
 

@@ -14,17 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import (
-    bind_for_comm,
-    brute_force_level,
-    classify_bound,
-    crosscheck_comm,
-)
+from repro.comm import bind_for_comm, brute_force_level, classify_bound
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import St, Sz, spatial_map, temporal_map
+from repro.dataflow.library import stock_dataflows
 from repro.dataflow.parser import parse_dataflow
 from repro.model.layer import conv2d
 from repro.tensors import dims as D
+from repro.verify.differential import run
 
 EXAMPLES = sorted(
     (Path(__file__).resolve().parent.parent / "examples" / "dataflows").glob("*.df")
@@ -36,25 +33,24 @@ LAYERS = [
 ]
 
 
-def _stock_catalog():
-    from repro.cli import _stock_catalog
+def _check(flow, layer):
+    (report,) = run("comm", [(layer, flow)])
+    return report
 
-    return _stock_catalog()
 
-
-@pytest.mark.parametrize("name", sorted(_stock_catalog()))
+@pytest.mark.parametrize("name", sorted(stock_dataflows()))
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.name)
 def test_library_golden_crosscheck(name, layer):
-    report = crosscheck_comm(_stock_catalog()[name], layer)
+    report = _check(stock_dataflows()[name], layer)
     assert report.ok, report.render()
-    assert report.levels_checked >= 1
+    assert report.counts["levels_checked"] >= 1
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.name)
 def test_example_golden_crosscheck(path, layer):
     flow = parse_dataflow(path.read_text(), name=path.stem)
-    report = crosscheck_comm(flow, layer)
+    report = _check(flow, layer)
     assert report.ok, report.render()
 
 
@@ -62,10 +58,10 @@ def test_goldens_actually_compare_degrees():
     """The suite must not pass vacuously: the stock catalog exercises
     brute-forced levels and exact degree comparisons."""
     brute_forced = degrees = 0
-    for flow in _stock_catalog().values():
-        report = crosscheck_comm(flow, LAYERS[0])
-        brute_forced += report.brute_forced_levels
-        degrees += report.degrees_compared
+    for flow in stock_dataflows().values():
+        report = _check(flow, LAYERS[0])
+        brute_forced += report.counts["brute_forced_levels"]
+        degrees += report.counts["degrees_compared"]
     assert brute_forced >= 10
     assert degrees >= 30
 
@@ -136,7 +132,7 @@ def _build_mapping(spatial):
 def test_random_mapping_crosschecks(layer, spatial):
     """Both oracles agree with the classifier on random small mappings."""
     flow = _build_mapping(spatial)
-    report = crosscheck_comm(flow, layer, max_units=64)
+    report = _check(flow, layer)
     assert report.ok, report.render()
 
 

@@ -13,18 +13,16 @@ from hypothesis import strategies as st
 
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import ClusterDirective, MapDirective
-from repro.dataflow.library import kc_partitioned
+from repro.dataflow.library import kc_partitioned, stock_dataflows
 from repro.dse import explore
 from repro.dse.space import DesignSpace, kc_partitioned_variants
 from repro.equiv import (
     canonical_dataflow,
     canonical_key,
     canonicalize,
-    crosscheck_corpus,
     dominance_certificate,
     integral_active,
     layer_symmetries,
-    library_flows,
     orbit_key,
     transpose_dataflow,
 )
@@ -36,6 +34,7 @@ from repro.model.layer import conv2d
 from repro.model.zoo import build
 from repro.tuner import tune_layer
 from repro.tuner.templates import SCHEDULES, SPATIAL_DIMS, CandidateSpec
+from repro.verify.differential import run
 
 SQUARE = conv2d("square", k=16, c=16, y=12, x=12, r=3, s=3)
 SEQUENTIAL_K = Dataflow(
@@ -149,7 +148,7 @@ class TestDominance:
 
     def test_library_flow_dominates_sequential(self):
         layer = build("vgg16").layer("CONV3")
-        flow = library_flows(include_playground=False)["KC-P"]
+        flow = stock_dataflows(include_playground=False)["KC-P"]
         certificate = dominance_certificate(flow, SEQUENTIAL_K, layer, self.HW)
         assert certificate is not None
         assert certificate.dominator == "KC-P"
@@ -205,13 +204,15 @@ class TestCrosscheck:
     def test_library_on_one_layer_bit_identical(self):
         layer = build("vgg16").layer("CONV3")
         pairs = [
-            (layer, flow) for _, flow in sorted(library_flows().items())
+            (layer, flow) for _, flow in sorted(stock_dataflows().items())
         ]
-        report = crosscheck_corpus(pairs, Accelerator(num_pes=256))
-        assert report.ok, report.mismatches
-        assert report.pairs_checked == len(pairs)
-        assert report.canonical_changed > 0
-        assert report.transposed_checked > 0
+        reports = run("equiv", pairs)
+        assert all(report.ok for report in reports), [
+            report.mismatches for report in reports
+        ]
+        assert len(reports) == len(pairs)
+        assert sum(report.counts["canonical_changed"] for report in reports) > 0
+        assert sum(report.counts["transposed_checked"] for report in reports) > 0
 
 
 def enriched_space():

@@ -4,27 +4,12 @@ profile must stay inside a reviewed golden set."""
 
 import pytest
 
-from repro.dataflow.library import (
-    fig5_playground,
-    output_stationary_1level,
-    row_stationary_fig6,
-    table3_dataflows,
-    weight_stationary_1level,
-)
+from repro.dataflow.library import stock_dataflows
 from repro.hardware.accelerator import Accelerator
 from repro.lint import lint_dataflow
 from repro.model.zoo import MODELS, build
 
 ACCELERATOR = Accelerator(num_pes=256)
-
-
-def stock_mappings():
-    flows = dict(table3_dataflows())
-    flows.update({f"fig5-{key}": flow for key, flow in fig5_playground().items()})
-    flows["RS"] = row_stationary_fig6()
-    flows["WS-K"] = weight_stationary_1level()
-    flows["OS-YX"] = output_stationary_1level()
-    return flows
 
 
 #: Reviewed non-error codes each stock mapping may emit somewhere in the
@@ -101,13 +86,13 @@ KNOWN_COVERAGE_GAPS = {
 
 
 def test_golden_covers_every_stock_mapping():
-    assert set(GOLDEN_WARNINGS) == set(stock_mappings())
+    assert set(GOLDEN_WARNINGS) == set(stock_dataflows())
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 @pytest.mark.parametrize("flow_name", sorted(GOLDEN_WARNINGS))
 def test_library_mapping_is_error_free(model_name, flow_name):
-    flow = stock_mappings()[flow_name]
+    flow = stock_dataflows()[flow_name]
     network = build(model_name)
     envelope = KNOWN_COVERAGE_GAPS.get(flow_name)
     observed = set()

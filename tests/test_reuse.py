@@ -7,11 +7,11 @@ from repro.dataflow.directives import Sz, spatial_map, temporal_map
 from repro.engines.binding import bind_dataflow
 from repro.engines.reuse import analyze_level_reuse, build_odometer, level_unique_volumes
 from repro.engines.tensor_analysis import analyze_tensors
-from repro.equiv import library_corpus
 from repro.errors import BindingError, DataflowError
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import conv2d
 from repro.tensors import dims as D
+from repro.verify.differential import corpus
 
 
 def analyze(flow, layer, num_pes):
@@ -220,7 +220,7 @@ def test_level_unique_volumes_equal_reuse_analysis(num_pes):
     the sub-units' first chunks (the init class's ``unique``)."""
     accelerator = Accelerator(num_pes=num_pes)
     levels = 0
-    for layer, flow in library_corpus(models=["vgg16", "mobilenet_v2"])[::5]:
+    for layer, flow in corpus(models=["vgg16", "mobilenet_v2"])[::5]:
         try:
             bound = bind_dataflow(flow, layer, accelerator)
         except (BindingError, DataflowError):

@@ -26,7 +26,8 @@ from repro.exec.backend import (
 )
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
-from repro.vector import VectorLoweringError, crosscheck_vector, group_key
+from repro.vector import VectorLoweringError, group_key
+from repro.verify.differential import run_vector
 
 REGRESSION_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
 
@@ -115,7 +116,7 @@ def test_forced_fallback_on_unlowerable_group(layer, grid):
     """A group the lowering rejects falls back point-wise to scalar."""
     bad = _unlowerable_flow()
     with pytest.raises(VectorLoweringError):
-        crosscheck_vector(layer, bad, grid)
+        run_vector(layer, bad, grid)
 
     points = _points(layer, bad, grid)
     serial = BatchEvaluator(executor="serial", cache=False).evaluate(points)

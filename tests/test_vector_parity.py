@@ -20,8 +20,10 @@ from repro.errors import BindingError, DataflowError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
 from repro.model.zoo import MODELS, build
-from repro.vector import VectorLoweringError, crosscheck_vector
-from tests.test_lint_library import KNOWN_COVERAGE_GAPS, stock_mappings
+from repro.dataflow.library import stock_dataflows
+from repro.vector import VectorLoweringError
+from repro.verify.differential import run_vector
+from tests.test_lint_library import KNOWN_COVERAGE_GAPS
 
 # Small but representative: power-of-two PEs spanning infeasible-to-
 # ample, crossed with a slow and a fast NoC.
@@ -46,7 +48,7 @@ def _zoo_layers():
 
 
 ZOO_LAYERS = _zoo_layers()
-FLOWS = stock_mappings()
+FLOWS = stock_dataflows()
 
 
 def _assert_parity(layer, dataflow, grid, sample=None):
@@ -61,7 +63,7 @@ def _assert_parity(layer, dataflow, grid, sample=None):
     shrinking).
     """
     try:
-        report = crosscheck_vector(layer, dataflow, grid, rtol=0.0, sample=sample)
+        report = run_vector(layer, dataflow, grid, sample=sample)
     except VectorLoweringError:
         for accelerator in grid[:2]:
             with pytest.raises((BindingError, DataflowError)):
@@ -85,7 +87,7 @@ def test_parity_across_zoo_layers(flow_name):
             gap_cases += 1
         report = _assert_parity(layer, dataflow, GRID, sample=2)
         if report is not None:
-            checked += report.points_checked
+            checked += report.counts["points_checked"]
     assert checked > 0 or gap_cases > 0
     if gap is not None:
         assert gap_cases > 0, "envelope gap never exercised"
@@ -96,7 +98,7 @@ def test_parity_full_grid_no_sampling(small_conv):
     for name, dataflow in FLOWS.items():
         report = _assert_parity(small_conv, dataflow, GRID)
         if report is not None:
-            assert report.points_checked == len(GRID)
+            assert report.counts["points_checked"] == len(GRID)
 
 
 def test_parity_under_hardware_feature_toggles(small_conv):
