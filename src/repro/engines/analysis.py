@@ -18,7 +18,7 @@ cluster level outward:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.engines.binding import BoundDataflow, BoundLevel, bind_dataflow
@@ -120,6 +120,31 @@ class NetworkAnalysis:
             for component, value in report.energy_breakdown.items():
                 totals[component] = totals.get(component, 0.0) + value
         return totals
+
+
+@dataclass(frozen=True)
+class EvalOutcome:
+    """The result of evaluating one point: a report or a model rejection.
+
+    ``error_type``/``error_message`` record rejections the sweep
+    consumers treat as "candidate is infeasible" (``BindingError`` /
+    ``DataflowError``); any other exception propagates out of the
+    backend instead of becoming an outcome. ``cached`` tells whether the
+    outcome came from the memoization cache rather than a fresh
+    cost-model run.
+    """
+
+    report: Optional[LayerAnalysis]
+    error_type: Optional[str] = None
+    error_message: Optional[str] = None
+    cached: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.report is not None
+
+    def as_cached(self) -> "EvalOutcome":
+        return self if self.cached else replace(self, cached=True)
 
 
 def analyze_layer(

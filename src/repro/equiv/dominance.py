@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.absint import HardwareBox, ShapeBox, abstract_analyze
+from repro.absint import AbstractAnalysis, HardwareBox, ShapeBox, abstract_analyze
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import DataflowError
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -82,6 +82,22 @@ def dominance_certificate(
         b = abstract_analyze(box, dominated, hw, energy_model)
     except (DataflowError, ValueError):
         return None
+    return certify_dominance(dominator, a, dominated, b, hw)
+
+
+def certify_dominance(
+    dominator: Dataflow,
+    dominator_analysis: AbstractAnalysis,
+    dominated: Dataflow,
+    dominated_analysis: AbstractAnalysis,
+    hw: HardwareBox,
+) -> Optional[DominanceCertificate]:
+    """:func:`dominance_certificate` from the two mappings' analyses.
+
+    Lets a caller comparing one mapping against many analyze each
+    mapping once (DF403 does).
+    """
+    a, b = dominator_analysis, dominated_analysis
     if a.caveats or b.caveats:
         return None
 
@@ -117,5 +133,6 @@ __all__ = [
     "DOMINANCE_PROVENANCE",
     "OBJECTIVES",
     "DominanceCertificate",
+    "certify_dominance",
     "dominance_certificate",
 ]

@@ -46,7 +46,8 @@ from repro.exec.cache import (
     model_version_salt,
     resolve_cache,
 )
-from repro.exec.serialize import EvalOutcome, analysis_from_dict, analysis_to_dict
+from repro.engines.analysis import EvalOutcome
+from repro.exec.serialize import analysis_from_dict, analysis_to_dict
 
 __all__ = [
     "AnalysisCache",

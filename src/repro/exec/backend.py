@@ -16,12 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.engines.analysis import analyze_layer
+from repro.engines.analysis import EvalOutcome, analyze_layer
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import BindingError, DataflowError
 from repro.exec.cache import AnalysisCache, cache_key, cache_keys, resolve_cache
-from repro.exec.serialize import EvalOutcome
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.model.layer import Layer

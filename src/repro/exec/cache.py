@@ -53,7 +53,8 @@ from repro.errors import DataflowError
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import EnergyModel
 from repro.model.layer import Layer
-from repro.exec.serialize import EvalOutcome, outcome_from_json, outcome_to_json
+from repro.engines.analysis import EvalOutcome
+from repro.exec.serialize import outcome_from_json, outcome_to_json
 from repro.tensors import dims as D
 
 #: Environment variable naming the on-disk cache directory. When set, the

@@ -10,39 +10,13 @@ disk iterates exactly like one computed in-process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.engines.analysis import LayerAnalysis, LevelStats
+from repro.engines.analysis import EvalOutcome, LayerAnalysis, LevelStats
 
 #: Bumped when the serialized document layout changes (independent of the
 #: model-version salt, which tracks the cost model itself).
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    """The result of evaluating one point: a report or a model rejection.
-
-    ``error_type``/``error_message`` record rejections the sweep
-    consumers treat as "candidate is infeasible" (``BindingError`` /
-    ``DataflowError``); any other exception propagates out of the
-    backend instead of becoming an outcome. ``cached`` tells whether the
-    outcome came from the memoization cache rather than a fresh
-    cost-model run.
-    """
-
-    report: Optional[LayerAnalysis]
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-    cached: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.report is not None
-
-    def as_cached(self) -> "EvalOutcome":
-        return self if self.cached else replace(self, cached=True)
 
 
 def _level_stats_to_dict(stats: LevelStats) -> Dict[str, Any]:

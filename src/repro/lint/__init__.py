@@ -16,7 +16,9 @@ Entry points:
   errors instead of stopping at the first) with source locations;
 - :func:`static_errors` — the fast, binding-equivalent error subset the
   DSE explorer and auto-tuner use to reject candidates before paying a
-  cost-model evaluation.
+  cost-model evaluation;
+- :func:`lint_errors` — every rule that can emit an ERROR and no other:
+  the full lint's verdict, the analysis server's lint gate.
 """
 
 from repro.lint.diagnostics import (
@@ -31,6 +33,7 @@ from repro.lint.engine import (
     explain_rule,
     lint_dataflow,
     lint_directives,
+    lint_errors,
     lint_text,
     nearest_rule,
     required_pes,
@@ -58,6 +61,7 @@ __all__ = [
     "explain_rule",
     "lint_dataflow",
     "lint_directives",
+    "lint_errors",
     "lint_symbolic",
     "lint_text",
     "nearest_rule",

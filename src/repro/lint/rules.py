@@ -18,6 +18,7 @@ The full catalog, with bad/fixed example pairs, lives in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -27,6 +28,8 @@ from typing import (
     List,
     Optional,
     Tuple,
+    TypeVar,
+    cast,
 )
 
 from repro.dataflow.directives import (
@@ -42,6 +45,8 @@ from repro.tensors import dims as D
 from repro.util.intmath import num_chunks, prod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.capacity.bounds import CapacityBounds
+    from repro.capacity.roofline import RooflineCertificate
     from repro.dataflow.dataflow import Dataflow
     from repro.engines.binding import BoundDataflow
     from repro.engines.tensor_analysis import TensorAnalysis
@@ -93,6 +98,8 @@ class RuleContext:
     accelerator: "Optional[Accelerator]" = None
     dataflow: object = None  # the Dataflow instance, when linting one
     spans: Optional[Tuple[Optional[SourceSpan], ...]] = None
+    #: Code of the rule being run; :meth:`diag` emits only this code.
+    running: Optional[str] = None
 
     _bound: object = field(default=None, repr=False)
     _bound_tried: bool = field(default=False, repr=False)
@@ -100,6 +107,7 @@ class RuleContext:
     _tensors_tried: bool = field(default=False, repr=False)
     _coverage: object = field(default=None, repr=False)
     _coverage_tried: bool = field(default=False, repr=False)
+    _facts: Dict[object, object] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Derived views
@@ -261,9 +269,20 @@ class RuleContext:
         message: str,
         index: Optional[int] = None,
         fixit: Optional[FixIt] = None,
-        severity: Optional[Severity] = None,
         provenance: str = "heuristic",
     ) -> Diagnostic:
+        """A diagnostic of the running rule, at its registered severity.
+
+        A rule may emit only its own code, and never at another
+        severity: that is what makes :attr:`Rule.can_error` exact, and
+        the lint gate's errors-only pass equal to the full lint's
+        verdict.
+        """
+        if code != self.running:
+            raise ValueError(
+                f"lint rule {self.running} emitted {code}: a rule emits only "
+                f"its own code"
+            )
         directive = None
         span = None
         if index is not None and 0 <= index < len(self.directives):
@@ -272,7 +291,7 @@ class RuleContext:
                 span = self.spans[index]
         return Diagnostic(
             code=code,
-            severity=severity or RULES[code].default_severity,
+            severity=RULES[code].default_severity,
             message=message,
             directive=directive,
             directive_index=index,
@@ -293,6 +312,15 @@ class Rule:
     construction: bool
     binding_equivalent: bool
     check: Callable[[RuleContext], Iterator[Diagnostic]]
+
+    @property
+    def can_error(self) -> bool:
+        """Whether the rule can emit an ERROR.
+
+        Exact, not a guess: :meth:`RuleContext.diag` emits only the
+        running rule's code at its registered severity.
+        """
+        return self.default_severity is Severity.ERROR
 
 
 RULES: Dict[str, Rule] = {}
@@ -324,6 +352,26 @@ def rule(
         return fn
 
     return register
+
+
+_Fact = TypeVar("_Fact")
+
+
+def shared_fact(compute: Callable[[RuleContext], _Fact]) -> Callable[[RuleContext], _Fact]:
+    """Compute a derived fact once per :class:`RuleContext`.
+
+    Every rule that reads the fact shares the first computation, the
+    caught-failure result (``None``/``[]``) included, the way
+    :attr:`RuleContext.bound`, ``tensors`` and ``coverage`` are shared.
+    """
+
+    @functools.wraps(compute)
+    def memoized(ctx: RuleContext) -> _Fact:
+        if compute not in ctx._facts:
+            ctx._facts[compute] = compute(ctx)
+        return cast(_Fact, ctx._facts[compute])
+
+    return memoized
 
 
 def required_pes(dataflow: "Dataflow", layer: "Layer") -> int:
@@ -1073,6 +1121,7 @@ def _check_coverage_undecided(ctx: RuleContext) -> Iterator[Diagnostic]:
 # warnings; DF300/DF301 are the hazard/blow-up statements with exact
 # fan-in / duplication numbers.
 # ======================================================================
+@shared_fact
 def _comm_levels(ctx: RuleContext) -> "List[Tuple[object, LevelView, object]]":
     """(bound level, level view, LevelComm) triples, or ``[]`` if unbound."""
     bound, tensors = ctx.bound, ctx.tensors
@@ -1431,21 +1480,34 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     flow = _equiv_dataflow(ctx)
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return
-    from repro.absint import HardwareBox
+    from repro.absint import HardwareBox, ShapeBox, abstract_analyze
     from repro.dataflow.library import stock_dataflows
     from repro.equiv.canonical import canonicalize
-    from repro.equiv.dominance import DOMINANCE_PROVENANCE, dominance_certificate
+    from repro.equiv.dominance import DOMINANCE_PROVENANCE, certify_dominance
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     hw = HardwareBox.from_accelerator(ctx.accelerator)
+    box = ShapeBox.from_layer(ctx.layer)
     symmetries = layer_symmetries(ctx.layer)
     own_orbit = orbit_key(canonicalize(flow, ctx.layer).key, symmetries)
+    # One analysis of this mapping serves every comparison; each library
+    # mapping is analyzed at most once.
+    try:
+        own = abstract_analyze(box, flow, hw)
+    except (DataflowError, ValueError):
+        return
+    if own.caveats:
+        return  # caveated bounds certify nothing (repro.equiv.dominance)
     library = stock_dataflows(include_playground=False).values()
     for lib_flow in sorted(library, key=lambda f: f.name):
         lib_orbit = orbit_key(canonicalize(lib_flow, ctx.layer).key, symmetries)
         if lib_orbit == own_orbit:
             continue
-        certificate = dominance_certificate(lib_flow, flow, ctx.layer, hw)
+        try:
+            lib = abstract_analyze(box, lib_flow, hw)
+        except (DataflowError, ValueError):
+            continue
+        certificate = certify_dominance(lib_flow, lib, flow, own, hw)
         if certificate is None:
             continue
         yield ctx.diag(
@@ -1470,7 +1532,10 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
 # DF504 reads the roofline certificate and always applies. None are
 # construction or binding-equivalent rules.
 # ======================================================================
-def _capacity_certificates(ctx: RuleContext):
+@shared_fact
+def _capacity_certificates(
+    ctx: RuleContext,
+) -> "Optional[Tuple[CapacityBounds, RooflineCertificate]]":
     """The (bounds, roofline) pair for this mapping, or ``None``."""
     flow = _equiv_dataflow(ctx)
     if flow is None or ctx.layer is None or ctx.accelerator is None:

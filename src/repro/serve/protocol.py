@@ -217,16 +217,24 @@ def resolve_dataflow(doc: Dict[str, Any]) -> Tuple[Dataflow, Dict[str, Any]]:
 
 
 def lint_gate(flow: Dataflow, layer: Layer, accelerator: Accelerator) -> None:
-    """Reject (422 + diagnostics) mappings the static analyzer refutes."""
-    from repro.lint import lint_dataflow
+    """Reject (422 + diagnostics) mappings the static analyzer refutes.
 
-    report = lint_dataflow(flow, layer, accelerator)
-    if report.has_errors:
-        raise HttpError(
-            422,
-            f"mapping fails static lint against layer {layer.name!r}",
-            details=report.to_dict(),
-        )
+    Only the rules that can emit an ERROR decide the verdict; a
+    rejection then carries the full lint report, as ``/v1/lint`` would
+    return it.
+    """
+    from repro import obs
+    from repro.lint.engine import lint_dataflow, lint_errors
+
+    with obs.span("lint"):
+        if not lint_errors(flow, layer, accelerator):
+            return
+        report = lint_dataflow(flow, layer, accelerator)
+    raise HttpError(
+        422,
+        f"mapping fails static lint against layer {layer.name!r}",
+        details=report.to_dict(),
+    )
 
 
 # ----------------------------------------------------------------------

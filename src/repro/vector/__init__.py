@@ -13,16 +13,12 @@ Public API:
   the cost model against a grid template (everything but the two grid
   axes folded to constants).
 - :func:`evaluate_grid` — run one lowered group over concrete grid
-  points, returning per-point :class:`~repro.exec.serialize.EvalOutcome`.
+  points, returning per-point :class:`~repro.engines.analysis.EvalOutcome`.
 - :class:`VectorLoweringError` — raised for groups outside the
   expressible space; the batch backend then falls back to the scalar
   engines point by point.
 """
 
-# The batch backend imports this engine and the engine imports the
-# backend package's outcome type: load the backend first, so that
-# either package can be imported on its own.
-import repro.exec  # noqa: F401
 from repro.vector.engine import evaluate_grid
 from repro.vector.lower import (
     LoweredGroup,

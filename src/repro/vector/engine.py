@@ -27,10 +27,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engines.analysis import LayerAnalysis, LevelStats
+from repro.engines.analysis import EvalOutcome, LayerAnalysis, LevelStats
 from repro.engines.reuse import LevelReuse
 from repro.engines.tensor_analysis import TensorInfo
-from repro.exec.serialize import EvalOutcome
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.model.layer import Layer

@@ -28,8 +28,12 @@ reports every disagreement as a :class:`Mismatch`:
 - ``capacity`` — the static buffer bounds and roofline floors
   (:mod:`repro.capacity`) are replayed against the analytical engine's
   sizing and runtime and against the simulator's occupancy walk.
+- ``gate`` — the serve lint gate's errors-only pass
+  (:func:`~repro.lint.engine.lint_errors`) claims the full lint's
+  verdict; it is replayed against ``lint_dataflow`` at several PE
+  counts, on a default and on a constrained accelerator.
 
-``equiv``, ``comm`` and ``capacity`` take (layer, dataflow) pairs and
+``equiv``, ``comm``, ``capacity`` and ``gate`` take (layer, dataflow) pairs and
 form the :data:`CHECKS` registry behind ``verify --check NAME``;
 :func:`run` sweeps one over pairs, e.g. the zoo × library
 :func:`corpus`. ``abstract`` and ``vector`` have their own subjects
@@ -63,9 +67,8 @@ from typing import (
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
-from repro.engines.analysis import analyze_layer
+from repro.engines.analysis import EvalOutcome, analyze_layer
 from repro.errors import BindingError, DataflowError, ReproError
-from repro.exec.serialize import EvalOutcome
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.model.layer import Layer
@@ -900,6 +903,55 @@ def _capacity(dataflow: Dataflow, layer: Layer) -> Outcome:
 
 
 # ----------------------------------------------------------------------
+# gate: the serve lint gate's errors-only pass vs the full lint
+# ----------------------------------------------------------------------
+#: PE counts the gate check lints every pair at.
+GATE_PES = (16, 64, 256, 1024)
+
+
+def _gate_accelerators(pes: int) -> List[Tuple[str, Accelerator]]:
+    """A default machine, and one whose declared 64 B L1 and 4 KiB L2,
+    missing reduction tree and unicast NoC make the capacity (DF500,
+    DF502, DF013) and race (DF300) errors fire beside the binding ones."""
+    constrained = Accelerator(
+        num_pes=pes,
+        l1_size=64,
+        l2_size=4096,
+        spatial_reduction=False,
+        noc=NoC(bandwidth=8, avg_latency=2, multicast=False),
+    )
+    return [(f"{pes} PEs", Accelerator(num_pes=pes)), (f"{pes} PEs constrained", constrained)]
+
+
+def _gate(dataflow: Dataflow, layer: Layer) -> Outcome:
+    """:func:`~repro.lint.engine.lint_errors` (the serve lint gate's
+    verdict) against the full :func:`~repro.lint.engine.lint_dataflow`.
+
+    The gate skips every rule that cannot emit an ERROR, so both its
+    verdict and the codes of its errors must equal the full report's.
+    """
+    from repro.lint.engine import lint_dataflow, lint_errors
+
+    lints = rejected = 0
+    mismatches: List[Mismatch] = []
+    for pes in GATE_PES:
+        for subject, accelerator in _gate_accelerators(pes):
+            errors = lint_errors(dataflow, layer, accelerator)
+            report = lint_dataflow(dataflow, layer, accelerator)
+            lints += 1
+            rejected += report.has_errors
+            if bool(errors) != report.has_errors:
+                mismatches.append(
+                    Mismatch("gate", subject, "verdict", bool(errors), report.has_errors)
+                )
+            claimed = sorted({d.code for d in errors})
+            oracle = sorted({d.code for d in report.diagnostics if d.is_error})
+            if claimed != oracle:
+                mismatches.append(Mismatch("gate", subject, "error codes", claimed, oracle))
+    return {"lints": lints, "rejected": rejected}, mismatches
+
+
+# ----------------------------------------------------------------------
 # The (layer, dataflow) registry and runner
 # ----------------------------------------------------------------------
 #: The checks ``verify --check NAME`` runs over (layer, dataflow) pairs.
@@ -907,6 +959,7 @@ CHECKS: Dict[str, Callable[[Dataflow, Layer], Outcome]] = {
     "comm": _comm,
     "capacity": _capacity,
     "equiv": _equiv,
+    "gate": _gate,
 }
 
 
