@@ -149,6 +149,7 @@ class AnalysisServer:
         self._inflight: Dict[str, JobRecord] = {}
         self._jobs: "Dict[str, JobRecord]" = {}
         self._job_ids = itertools.count(1)
+        self._tracing_before: Optional[bool] = None  # restored by shutdown
         self._routes: Dict[
             Tuple[str, str], Callable[[Request], Awaitable[Dict[str, Any]]]
         ] = {
@@ -165,6 +166,7 @@ class AnalysisServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket (port 0 picks an ephemeral port)."""
+        self._tracing_before = obs.is_enabled()
         obs.configure(enabled=True)
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
@@ -187,7 +189,9 @@ class AnalysisServer:
 
         With ``drain`` the server waits up to ``drain_timeout`` seconds
         for running jobs; whatever remains is cancelled (shard sweeps
-        observe their cancel event between shards).
+        observe their cancel event between shards). Tracing, which
+        :meth:`start` turns on for ``/metrics``, goes back to the state
+        it was in before the server started; recorded spans are kept.
         """
         if self._draining:
             return
@@ -207,6 +211,8 @@ class AnalysisServer:
             await asyncio.sleep(0.02)
         for connection in list(self._connections):
             connection.cancel()
+        if self._tracing_before is not None:
+            obs.configure(enabled=self._tracing_before)
         self._stopped.set()
 
     # ------------------------------------------------------------------

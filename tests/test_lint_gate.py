@@ -139,11 +139,9 @@ def test_gate_opens_one_lint_span_per_call():
 
 @pytest.fixture(scope="module")
 def client():
-    try:
-        with ThreadedServer(ServeConfig(port=0, max_concurrency=1)) as server:
-            yield ServeClient(port=server.port, timeout=300.0)
-    finally:
-        obs.configure(enabled=False, reset=True)  # the server turned tracing on
+    with ThreadedServer(ServeConfig(port=0, max_concurrency=1)) as server:
+        yield ServeClient(port=server.port, timeout=300.0)
+    obs.trace.clear()  # a stopped server keeps the spans it recorded
 
 
 @pytest.mark.parametrize("accelerator", [{"l1": 32}, {"pes": 16}], ids=["DF500", "DF007"])

@@ -1,4 +1,4 @@
-"""Tests for the vector executor backend and its CI benchmark gate.
+"""Tests for the vector executor backend and the benchmark gate's errors.
 
 The load-bearing property mirrors the rest of the backend suite: the
 ``vector`` executor is a pure performance knob — outcomes (reports,
@@ -8,8 +8,6 @@ express falls back to the scalar engines, visibly counted.
 """
 
 import importlib.util
-import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -35,9 +33,6 @@ REGRESSION_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "che
 def _load_check_regression():
     spec = importlib.util.spec_from_file_location("check_regression", REGRESSION_SCRIPT)
     module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves the gate table's string annotations through
-    # sys.modules, so the module must be registered before exec.
-    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -198,50 +193,8 @@ def test_obs_counts_vectorized_and_fallback_points(layer, grid):
 
 
 # ----------------------------------------------------------------------
-# check_regression.py: the --vector gate and the one-line-error contract.
+# check_regression.py: the one-line-error contract.
 # ----------------------------------------------------------------------
-def _empty_bench(tmp_path: Path) -> Path:
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"benchmarks": []}))
-    return path
-
-
-def _vector_report(tmp_path: Path, **overrides) -> Path:
-    report = {
-        "sweep": "test sweep",
-        "speedup": 25.0,
-        "parity_violations": 0,
-        "parity_points_checked": 100,
-        "fallback_rate": 0.0,
-    }
-    report.update(overrides)
-    path = tmp_path / "BENCH_vector.json"
-    path.write_text(json.dumps(report))
-    return path
-
-
-def test_vector_gate_passes_good_report(tmp_path):
-    check = _load_check_regression()
-    bench = _empty_bench(tmp_path)
-    report = _vector_report(tmp_path)
-    assert check.main([str(bench), "--vector", str(report)]) == 0
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"parity_violations": 3},
-        {"speedup": 4.0},
-        {"fallback_rate": 0.5},
-    ],
-)
-def test_vector_gate_fails_bad_report(tmp_path, overrides):
-    check = _load_check_regression()
-    bench = _empty_bench(tmp_path)
-    report = _vector_report(tmp_path, **overrides)
-    assert check.main([str(bench), "--vector", str(report)]) == 1
-
-
 def test_missing_report_fails_with_one_line_error(tmp_path):
     check = _load_check_regression()
     with pytest.raises(SystemExit) as excinfo:
@@ -254,24 +207,18 @@ def test_missing_report_fails_with_one_line_error(tmp_path):
 
 def test_malformed_report_fails_with_one_line_error(tmp_path):
     check = _load_check_regression()
-    bench = _empty_bench(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    for argv in (
-        [str(bad)],
-        [str(bench), "--vector", str(bad)],
-        [str(bench), "--absint", str(bad.with_suffix(".missing"))],
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            check.main(argv)
-        message = str(excinfo.value.code)
-        assert message.startswith("error:")
-        assert "\n" not in message
+    with pytest.raises(SystemExit) as excinfo:
+        check.main([str(bad)])
+    message = str(excinfo.value.code)
+    assert message.startswith("error:")
+    assert "\n" not in message
 
     # A syntactically valid report missing required keys is also a
     # one-line error, not a KeyError stack trace.
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     with pytest.raises(SystemExit) as excinfo:
-        check.main([str(bench), "--vector", str(empty)])
+        check.main([str(empty)])
     assert str(excinfo.value.code).startswith("error:")

@@ -20,7 +20,7 @@ from repro.errors import BindingError, DataflowError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
 from repro.model.zoo import MODELS, build
-from repro.dataflow.library import stock_dataflows
+from repro.dataflow.library import stock_dataflows, table3_dataflows
 from repro.vector import VectorLoweringError
 from repro.verify.differential import run_vector
 from tests.test_lint_library import KNOWN_COVERAGE_GAPS
@@ -49,6 +49,16 @@ def _zoo_layers():
 
 ZOO_LAYERS = _zoo_layers()
 FLOWS = stock_dataflows()
+
+
+def fig13_grid(max_pes: int) -> list:
+    """Figure-13-style hardware: power-of-two PEs from 4 x bandwidths 1..128."""
+    pe_counts = [4 << shift for shift in range((max_pes // 4).bit_length())]
+    return [
+        Accelerator(num_pes=pes, noc=NoC(bandwidth=1 << shift))
+        for pes in pe_counts
+        for shift in range(8)
+    ]
 
 
 def _assert_parity(layer, dataflow, grid, sample=None):
@@ -91,6 +101,24 @@ def test_parity_across_zoo_layers(flow_name):
     assert checked > 0 or gap_cases > 0
     if gap is not None:
         assert gap_cases > 0, "envelope gap never exercised"
+
+
+def assert_fig13_parity(dataflow, max_pes: int) -> None:
+    """VGG-16 CONV11 on ``fig13_grid(max_pes)``: no fallback, no mismatch.
+
+    Every grid point is replayed through the scalar engines. A lowering
+    refusal (``VectorLoweringError``) is a fallback to the scalar
+    engines, which this grid must never need.
+    """
+    grid = fig13_grid(max_pes)
+    report = run_vector(build("vgg16").layer("CONV11"), dataflow, grid)
+    assert not report.mismatches, report.mismatches[0]
+    assert report.counts["points_checked"] == len(grid)
+
+
+@pytest.mark.parametrize("flow_name", sorted(table3_dataflows()))
+def test_fig13_grid_vectorizes_with_parity(flow_name):
+    assert_fig13_parity(table3_dataflows()[flow_name], 16384)
 
 
 def test_parity_full_grid_no_sampling(small_conv):
