@@ -21,7 +21,6 @@ from repro.absint.engine import (
     AbstractLevelStats,
     HardwareBox,
     abstract_analyze,
-    abstract_buffer_reqs,
 )
 from repro.absint.interval import (
     AbstractDomainError,
@@ -46,5 +45,4 @@ __all__ = [
     "TriBool",
     "abstract_analyze",
     "abstract_bind",
-    "abstract_buffer_reqs",
 ]

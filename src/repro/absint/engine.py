@@ -469,19 +469,6 @@ def _abs_psum_factor(
     return IntervalInt(lo, max(lo, hi))
 
 
-def _abs_unique_chunk_volumes(
-    level: AbstractLevel, tensors: TensorAnalysis
-) -> Dict[str, IntervalFloat]:
-    """Mirror of :func:`repro.engines.reuse.level_unique_volumes`."""
-    sizes = level.chunk_sizes()
-    spatial_offsets = level.spatial_offsets
-    active = level.avg_active
-    return {
-        t.name: _abs_full_chunk_traffic(t, sizes, spatial_offsets, active).unique
-        for t in tensors.tensors
-    }
-
-
 def abstract_level_reuse(
     level: AbstractLevel, tensors: TensorAnalysis
 ) -> AbstractLevelReuse:
@@ -538,7 +525,10 @@ def abstract_level_reuse(
         * t.density
         for t in tensors.tensors
     }
-    unique_chunk_volumes = _abs_unique_chunk_volumes(level, tensors)
+    unique_chunk_volumes = {
+        t.name: _abs_full_chunk_traffic(t, sizes, spatial_offsets, active).unique
+        for t in tensors.tensors
+    }
 
     output = tensors.output
     outputs_per_sweep = (
@@ -835,58 +825,6 @@ def _abs_tensor_volume(box: ShapeBox, tensor_name: str, touched: bool) -> Interv
     return i_prod(factors) * box.groups
 
 
-def _abs_buffer_reqs(
-    bound: AbstractBinding,
-    tensors: TensorAnalysis,
-    hw: HardwareBox,
-    top_unique: Mapping[str, IntervalFloat],
-) -> Tuple[IntervalInt, IntervalInt, Tuple[IntervalInt, ...]]:
-    """The Figure-8 buffer requirements (double buffering) lifted.
-
-    ``(L1 per PE, shared L2, cluster-boundary buffers)``: L1 from the
-    innermost chunk extents, L2 from the top level's unique-chunk
-    volumes ``top_unique`` (dense-indexed), one intermediate buffer per
-    non-innermost level.
-    """
-    element_bytes = hw.element_bytes
-    buffering = 2 if hw.double_buffered else 1
-    innermost = bound.innermost()
-    l1_req = i_sum(
-        i_prod(axis_extent(axis, innermost.chunk_sizes()) for axis in info.axes)
-        for info in tensors.tensors
-    ) * (buffering * element_bytes)
-    l2_sum = f_sum(
-        top_unique[t.name] / max(t.density, 1e-12) for t in tensors.tensors
-    ).clamp_low(0.0)
-    l2_req = l2_sum.floor_int() * (buffering * element_bytes)
-    intermediate_reqs = tuple(
-        i_sum(
-            i_prod(axis_extent(axis, level.chunk_sizes()) for axis in info.axes)
-            for info in tensors.tensors
-        )
-        * (buffering * element_bytes)
-        for level in bound.levels[:-1]
-    )
-    return l1_req, l2_req, intermediate_reqs
-
-
-def abstract_buffer_reqs(
-    box: ShapeBox, dataflow: Dataflow, hw: HardwareBox
-) -> Tuple[IntervalInt, IntervalInt, Tuple[IntervalInt, ...]]:
-    """The buffer requirements of :func:`abstract_analyze`, and only those.
-
-    Returns the same ``(l1_buffer_req, l2_buffer_req,
-    intermediate_buffer_reqs)`` intervals from binding, tensor analysis
-    and the top level's unique-chunk volumes alone: no other level's
-    reuse, no performance recursion, no energy, DRAM or NoC accounting.
-    Raises what binding raises, as :func:`abstract_analyze` does.
-    """
-    bound = abstract_bind(dataflow, box, hw.num_pes)
-    tensors = analyze_tensors(box.representative_layer(), bound.row_rep, bound.col_rep)
-    top_unique = _abs_unique_chunk_volumes(bound.levels[0], tensors)
-    return _abs_buffer_reqs(bound, tensors, hw, top_unique)
-
-
 def abstract_analyze(
     box: ShapeBox,
     dataflow: Dataflow,
@@ -992,8 +930,24 @@ def abstract_analyze(
         intermediate_writes = intermediate_writes + stats.egress_per_sweep * multiplier
 
     # Buffer requirements (double buffering).
-    l1_req, l2_req, intermediate_reqs = _abs_buffer_reqs(
-        bound, tensors, hw, reuses[0].unique_chunk_volumes
+    element_bytes = hw.element_bytes
+    buffering = 2 if hw.double_buffered else 1
+    l1_req = i_sum(
+        i_prod(axis_extent(axis, innermost.chunk_sizes()) for axis in info.axes)
+        for info in tensors.tensors
+    ) * (buffering * element_bytes)
+    l2_sum = f_sum(
+        reuses[0].unique_chunk_volumes[t.name] / max(t.density, 1e-12)
+        for t in tensors.tensors
+    ).clamp_low(0.0)
+    l2_req = l2_sum.floor_int() * (buffering * element_bytes)
+    intermediate_reqs = tuple(
+        i_sum(
+            i_prod(axis_extent(axis, level.chunk_sizes()) for axis in info.axes)
+            for info in tensors.tensors
+        )
+        * (buffering * element_bytes)
+        for level in bound.levels[:-1]
     )
 
     # DRAM traffic.
@@ -1021,7 +975,7 @@ def abstract_analyze(
         l2_writes[name] = l2_writes.get(name, FLOAT_ZERO) + volume
 
     noc_bw_req = top.peak_bw_elems_per_cycle
-    noc_bw_req_gbps = noc_bw_req * (hw.element_bytes * hw.clock_ghz)
+    noc_bw_req_gbps = noc_bw_req * (element_bytes * hw.clock_ghz)
 
     # Energy.
     def sram_energies(
@@ -1093,7 +1047,6 @@ __all__ = [
     "AbstractTransitionClass",
     "HardwareBox",
     "abstract_analyze",
-    "abstract_buffer_reqs",
     "abstract_level_reuse",
     "axis_extent",
     "axis_shift_abs",

@@ -75,9 +75,6 @@ class IntervalInt:
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    def encloses(self, other: "IntervalInt") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def hull(self, other: "IntervalInt") -> "IntervalInt":
         return IntervalInt(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -308,13 +305,6 @@ def i_sum(values: Iterable[IntervalInt]) -> IntervalInt:
 
 def i_prod(values: Iterable[IntervalInt]) -> IntervalInt:
     total = INT_ONE
-    for value in values:
-        total = total * value
-    return total
-
-
-def f_prod(values: Iterable[IntervalFloat]) -> IntervalFloat:
-    total = FLOAT_ONE
     for value in values:
         total = total * value
     return total

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.absint.interval import AbstractDomainError, IntervalInt, i_max
+from repro.absint.interval import AbstractDomainError, IntervalInt
 from repro.errors import LayerError
 from repro.model.layer import Layer
 from repro.tensors import dims as D
@@ -76,6 +76,11 @@ class ShapeBox:
                     f"along {k_dim}"
                 )
         object.__setattr__(self, "dims", dict(ranges))
+
+    def __hash__(self) -> int:
+        # dims and densities are dicts; equality stays the dataclass's.
+        items = (tuple(sorted(self.dims.items())), tuple(sorted(self.densities.items())))
+        return hash((self.name, self.operator, self.stride, self.dilation, self.groups, items))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -203,25 +208,6 @@ class ShapeBox:
                 yield self.concretize(sizes)
             except LayerError:
                 continue  # corner outside the valid-layer subfamily
-
-    def widen_hull(self, other: "ShapeBox") -> "ShapeBox":
-        """The smallest box containing both (same structure required)."""
-        if self.operator is not other.operator or self.stride != other.stride:
-            raise AbstractDomainError(
-                "cannot hull shape boxes with different structure"
-            )
-        dims = {
-            dim: i_max(iv, iv).hull(other.dims[dim]) for dim, iv in self.dims.items()
-        }
-        return ShapeBox(
-            name=self.name,
-            operator=self.operator,
-            dims=dims,
-            stride=self.stride,
-            dilation=self.dilation,
-            groups=self.groups,
-            densities=dict(self.densities),
-        )
 
     def __str__(self) -> str:
         spans = ", ".join(

@@ -31,7 +31,8 @@ Subcommands:
   ``--comm-prune`` with ``--no-spatial-reduction`` skips mappings the
   communication classifier proves write-racy on that hardware);
 - ``tune`` — search the auto-tuner's template space for a layer
-  (``--symbolic-prune`` screens buffer-cap violations symbolically,
+  (``--symbolic-prune`` screens buffer-cap violations with the exact
+  requirements of :mod:`repro.capacity`, as ``--capacity-prune`` does,
   ``--comm-prune`` screens DF300 write-races on reduction-free
   hardware);
 - ``profile`` — trace one layer's analysis (and optionally simulation)

@@ -45,6 +45,7 @@ from repro.tensors import dims as D
 from repro.util.intmath import num_chunks, prod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.absint import AbstractAnalysis, HardwareBox, ShapeBox
     from repro.capacity.bounds import CapacityBounds
     from repro.capacity.roofline import RooflineCertificate
     from repro.dataflow.dataflow import Dataflow
@@ -1462,6 +1463,37 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
             return
 
 
+@functools.lru_cache(maxsize=1)
+def _dominance_library() -> "Tuple[Tuple[str, Dataflow], ...]":
+    """The stock mappings DF403 compares against, as (catalog name,
+    mapping) pairs in mapping-name order."""
+    from repro.dataflow.library import stock_dataflows
+
+    catalog = stock_dataflows(include_playground=False)
+    return tuple(sorted(catalog.items(), key=lambda item: item[1].name))
+
+
+@functools.lru_cache(maxsize=4096)
+def _library_analysis(
+    name: str, box: "ShapeBox", hw: "HardwareBox"
+) -> "Optional[AbstractAnalysis]":
+    """The abstract analysis of library mapping ``name``, or ``None`` when
+    it cannot be analyzed.
+
+    Every DF403 check compares against the same library, so each
+    (mapping, shape box, hardware box) is analyzed once and kept in a
+    bounded LRU. The bound holds one zoo x library pass at one
+    accelerator (~2,500 entries of ~11 KB each) and caps the memo near
+    45 MB. Callers only read the shared analyses.
+    """
+    from repro.absint import abstract_analyze
+
+    try:
+        return abstract_analyze(box, dict(_dominance_library())[name], hw)
+    except (DataflowError, ValueError):
+        return None
+
+
 @rule(
     "DF403",
     "mapping statically dominated by a library dataflow",
@@ -1481,7 +1513,6 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return
     from repro.absint import HardwareBox, ShapeBox, abstract_analyze
-    from repro.dataflow.library import stock_dataflows
     from repro.equiv.canonical import canonicalize
     from repro.equiv.dominance import DOMINANCE_PROVENANCE, certify_dominance
     from repro.equiv.symmetry import layer_symmetries, orbit_key
@@ -1491,21 +1522,19 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     symmetries = layer_symmetries(ctx.layer)
     own_orbit = orbit_key(canonicalize(flow, ctx.layer).key, symmetries)
     # One analysis of this mapping serves every comparison; each library
-    # mapping is analyzed at most once.
+    # mapping's analysis comes from the memo.
     try:
         own = abstract_analyze(box, flow, hw)
     except (DataflowError, ValueError):
         return
     if own.caveats:
         return  # caveated bounds certify nothing (repro.equiv.dominance)
-    library = stock_dataflows(include_playground=False).values()
-    for lib_flow in sorted(library, key=lambda f: f.name):
+    for name, lib_flow in _dominance_library():
         lib_orbit = orbit_key(canonicalize(lib_flow, ctx.layer).key, symmetries)
         if lib_orbit == own_orbit:
             continue
-        try:
-            lib = abstract_analyze(box, lib_flow, hw)
-        except (DataflowError, ValueError):
+        lib = _library_analysis(name, box, hw)
+        if lib is None:
             continue
         certificate = certify_dominance(lib_flow, lib, flow, own, hw)
         if certificate is None:

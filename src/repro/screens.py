@@ -4,16 +4,17 @@ MAESTRO's DSE tool gets its designs/s by rejecting invalid subspaces
 before the cost model runs (Section 5.2). Every such screen lives in
 :data:`SCREENS`, in the order :func:`repro.dse.explore` and
 :func:`repro.tuner.tune_layer` apply it: lint, verify, comm, capacity,
-then symbolic (tuner only; the explorer's ``symbolic_prune`` is its
+then symbolic (tuner only: it reads the capacity screen's exact
+requirements; the explorer's ``symbolic_prune`` is its interval
 branch-and-bound). A rejected candidate is credited to the first screen
 that rejects it.
 
 Each :class:`Screen` computes one *fact* per mapping variant (per
-variant and PE count for the capacity screen) and makes a cheap
+variant and PE count for the monotone buffer screens) and makes a cheap
 per-point decision from it on the point's
-:class:`~repro.hardware.accelerator.Accelerator`. A
-:class:`ScreenRunner` owns the order, the memo of facts, the
-``screen.<name>`` span around each fact, the
+:class:`~repro.hardware.accelerator.Accelerator`; screens with the same
+fact function share it. A :class:`ScreenRunner` owns the order, the
+memo of facts, the ``screen.<name>`` span around each fact, the
 ``{dse,tuner}.pruned_by_<name>`` counters, and the one soundness catch:
 an analyzer that raises never rejects. The candidate is kept and counted
 under ``screen.uncertified.<name>``.
@@ -134,18 +135,6 @@ def _capacity_fact(
     return bounds.l1.peak_bytes, bounds.l2.peak_bytes
 
 
-def _symbolic_fact(
-    dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext
-) -> Tuple[int, int]:
-    from repro.absint.engine import HardwareBox, abstract_buffer_reqs
-    from repro.absint.shapes import ShapeBox
-
-    l1, l2, _ = abstract_buffer_reqs(
-        ShapeBox.from_layer(context.layer), dataflow, HardwareBox.from_accelerator(accelerator)
-    )
-    return l1.lo, l2.lo
-
-
 def _over_budget(
     requirements: Tuple[int, int], accelerator: Accelerator, context: ScreenContext
 ) -> bool:
@@ -232,23 +221,27 @@ SCREENS: Tuple[Screen, ...] = (
         when=_has_budget,
         monotone=True,
     ),
-    # Symbolic (tuner only): the abstract interpreter's interval lower
-    # bounds on the L1/L2 requirements enclose the concrete ones and the
-    # buffer filter is monotone in both, so a lower bound the filter
-    # rejects proves the evaluated point would be rejected too. The fact
-    # is the buffer-only pass (binding, tensors, top-level unique
-    # volumes), whose intervals equal the full abstract analysis's.
+    # Symbolic (tuner only): the tuner analyzes one layer on one
+    # accelerator, a point box on which the abstract interpreter's L1/L2
+    # intervals collapse to the exact requirements (``verify --check
+    # capacity`` pins this on every zoo x library pair). So the screen
+    # reads the capacity fact under the capacity argument above, and a
+    # run with both screens computes that fact once.
     Screen(
         name="symbolic",
         keyword="symbolic_prune",
         flag="--symbolic-prune",
-        help="soundly skip cost-model calls using interval bounds from "
-        "the symbolic abstract interpreter (optima are bit-identical)",
+        help="soundly skip cost-model calls: on tune, candidates whose "
+        "exact L1/L2 requirements (repro.capacity) exceed the buffer "
+        "caps; on dse, hardware regions the symbolic abstract "
+        "interpreter's interval bounds prove dominated (optima are "
+        "bit-identical)",
         dse_field=None,
         tuner_field="symbolic_rejected",
-        fact=_symbolic_fact,
+        fact=_capacity_fact,
         rejects=_over_budget,
         when=_has_budget,
+        monotone=True,
     ),
 )
 
@@ -288,6 +281,8 @@ class ScreenRunner:
         )
         #: Rejects per enabled screen name.
         self.rejects: Dict[str, int] = {screen.name: 0 for screen in self.screens}
+        #: (fact function, variant[, PE count]) -> fact; screens that
+        #: share a fact function share its entries.
         self._facts: Dict[Hashable, Any] = {}
         #: (screen, variant) -> bandwidth -> smallest rejected PE count.
         self._floors: Dict[Hashable, Dict[int, int]] = {}
@@ -301,7 +296,7 @@ class ScreenRunner:
             if screen.monotone:
                 rejected = self._monotone_rejects(screen, variant, dataflow, accelerator)
             else:
-                rejected = self._rejects(screen, (screen.name, variant), dataflow, accelerator)
+                rejected = self._rejects(screen, (screen.fact, variant), dataflow, accelerator)
             if rejected:
                 self.rejects[screen.name] += 1
                 return True
@@ -331,7 +326,7 @@ class ScreenRunner:
         floors = self._floors.setdefault((screen.name, variant), {})
         if any(b <= bandwidth and p <= pes for b, p in floors.items()):
             return True
-        if not self._rejects(screen, (screen.name, variant, pes), dataflow, accelerator):
+        if not self._rejects(screen, (screen.fact, variant, pes), dataflow, accelerator):
             return False
         floors[bandwidth] = min(floors.get(bandwidth, pes), pes)
         return True

@@ -51,7 +51,8 @@ class TunerResult:
     #: How many of ``rejected`` each screen of :mod:`repro.screens`
     #: caught before any cost-model evaluation: lint (``static_lint``),
     #: ``verify_coverage``, ``symbolic_prune``, ``comm_prune`` and
-    #: ``capacity_prune``.
+    #: ``capacity_prune`` (``symbolic_prune`` reads the same exact buffer
+    #: requirements, so beside ``capacity_prune`` it rejects nothing).
     statically_rejected: int = 0
     coverage_rejected: int = 0
     symbolic_rejected: int = 0
@@ -110,11 +111,11 @@ def tune_layer(
     screens of :mod:`repro.screens`, in registry order: ``static_lint``
     (on by default), ``verify_coverage``, ``comm_prune`` (only on an
     accelerator without ``reduction_support``), then ``capacity_prune``
-    and ``symbolic_prune`` (both only with a buffer cap, which they
-    check with the certified exact or interval lower-bound
-    requirements). Each rejects only candidates the tuner would reject
-    anyway, so the winner is unchanged; the argument for each is on its
-    registry entry.
+    and ``symbolic_prune`` (both only with a buffer cap; both check it
+    against the capacity analyzer's exact L1/L2 requirements, computed
+    once per candidate when both are on). Each rejects only
+    candidates the tuner would reject anyway, so the winner is
+    unchanged; the argument for each is on its registry entry.
 
     With ``equiv_prune`` the survivors are quotiented by
     :func:`repro.screens.equiv_quotient`: only one representative per

@@ -27,7 +27,9 @@ reports every disagreement as a :class:`Mismatch`:
   against brute-force PE access-set enumeration.
 - ``capacity`` — the static buffer bounds and roofline floors
   (:mod:`repro.capacity`) are replayed against the analytical engine's
-  sizing and runtime and against the simulator's occupancy walk.
+  sizing and runtime, against the simulator's occupancy walk, and
+  against the interval interpreter's point-box L1/L2 requirements,
+  which must be the same exact points.
 - ``gate`` — the serve lint gate's errors-only pass
   (:func:`~repro.lint.engine.lint_errors`) claims the full lint's
   verdict; it is replayed against ``lint_dataflow`` at several PE
@@ -885,21 +887,58 @@ def _check_simulator(
     return len(states), mismatches
 
 
+def _check_abstract(
+    bounds: "Optional[CapacityBounds]", dataflow: Dataflow, layer: Layer, accelerator: Accelerator
+) -> List[Mismatch]:
+    """Oracle 3: the interval interpreter on the point box binds exactly
+    where the bounds do (``bounds`` is ``None`` where they cannot), and
+    its L1/L2 intervals are points equal to the static peaks: the
+    equality the tuner's symbolic screen relies on."""
+    from repro.absint import HardwareBox, ShapeBox, abstract_analyze
+
+    try:
+        analysis = abstract_analyze(
+            ShapeBox.from_layer(layer), dataflow, HardwareBox.from_accelerator(accelerator)
+        )
+    except (DataflowError, ValueError) as error:
+        binds = bounds is not None
+        return [Mismatch("capacity", "absint", "binds", binds, repr(error))] if binds else []
+    if bounds is None:
+        return [Mismatch("capacity", "absint", "binds", False, True)]
+    claims = (
+        ("l1_buffer_req", analysis.l1_buffer_req, bounds.l1.peak_bytes),
+        ("l2_buffer_req", analysis.l2_buffer_req, bounds.l2.peak_bytes),
+    )
+    return [
+        Mismatch("capacity", "absint", quantity, peak, f"[{interval.lo}, {interval.hi}]")
+        for quantity, interval, peak in claims
+        if (interval.lo, interval.hi) != (peak, peak)
+    ]
+
+
 def _capacity(dataflow: Dataflow, layer: Layer) -> Outcome:
     """The capacity bounds and roofline floors on 64 PEs against the
-    analytical engine and the simulator's occupancy walk."""
-    from repro.capacity.bounds import compute_capacity_bounds
+    analytical engine, the simulator's occupancy walk and the interval
+    interpreter's point-box requirements."""
     from repro.capacity.roofline import classify_roofline
 
     accelerator = Accelerator(num_pes=64)
-    bounds = compute_capacity_bounds(dataflow, layer, accelerator)
-    roofline = classify_roofline(dataflow, layer, accelerator)
+    try:
+        roofline = classify_roofline(dataflow, layer, accelerator)
+    except DataflowError:
+        return {"unbound": 1}, _check_abstract(None, dataflow, layer, accelerator)
+    bounds = roofline.bounds
     engine_exact, mismatches = _check_engine(
         bounds, roofline, dataflow, layer, accelerator
     )
     states, sim_mismatches = _check_simulator(bounds, dataflow, layer, accelerator)
-    counts = {"engine_exact": int(engine_exact), "occupancy_states": states}
-    return counts, mismatches + sim_mismatches
+    absint_mismatches = _check_abstract(bounds, dataflow, layer, accelerator)
+    counts = {
+        "engine_exact": int(engine_exact),
+        "occupancy_states": states,
+        "absint_exact": int(not absint_mismatches),
+    }
+    return counts, mismatches + sim_mismatches + absint_mismatches
 
 
 # ----------------------------------------------------------------------

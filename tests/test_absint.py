@@ -16,7 +16,6 @@ from repro.absint import (
     ShapeBox,
     abstract_analyze,
     abstract_bind,
-    abstract_buffer_reqs,
 )
 from repro.absint.interval import (
     i_ceil_div,
@@ -28,6 +27,7 @@ from repro.absint.interval import (
     tri_gt,
     tri_not,
 )
+from repro.capacity import compute_capacity_bounds
 from repro.dataflow.library import stock_dataflows, table3_dataflows
 from repro.engines.analysis import analyze_layer
 from repro.errors import BindingError, DataflowError, LayerError
@@ -184,7 +184,8 @@ def test_point_box_is_exact(name):
 
 
 # ----------------------------------------------------------------------
-# The buffer-only pass equals the full analysis's buffer intervals
+# The capacity analyzer's exact requirements against the full analysis's
+# buffer intervals
 # ----------------------------------------------------------------------
 BUFFER_LAYERS = [
     ("vgg16", "CONV2"),
@@ -204,50 +205,68 @@ def _buffer_parity_flows():
     return flows
 
 
-def assert_buffer_parity(box, flow, hw):
-    """``abstract_buffer_reqs`` returns exactly ``abstract_analyze``'s
-    three buffer intervals, or raises exactly what it raises; returns
-    whether the analysis succeeded."""
+def assert_buffer_parity(layer, flow, accelerator):
+    """On a point box ``abstract_analyze``'s three buffer intervals are
+    points equal to :func:`~repro.capacity.compute_capacity_bounds`'s
+    peaks, or both raise the same error; returns whether they bound."""
+    box = ShapeBox.from_layer(layer)
+    hw = HardwareBox.from_accelerator(accelerator)
     try:
-        analysis = abstract_analyze(box, flow, hw)
-    except Exception as error:
-        with pytest.raises(Exception) as raised:
-            abstract_buffer_reqs(box, flow, hw)
+        bounds = compute_capacity_bounds(flow, layer, accelerator)
+    except DataflowError as error:
+        with pytest.raises(DataflowError) as raised:
+            abstract_analyze(box, flow, hw)
         assert type(raised.value) is type(error), flow.name
         assert str(raised.value) == str(error), flow.name
         return False
-    l1, l2, intermediates = abstract_buffer_reqs(box, flow, hw)
-    l1_full, l2_full = analysis.l1_buffer_req, analysis.l2_buffer_req
-    assert (l1.lo, l1.hi) == (l1_full.lo, l1_full.hi), flow.name
-    assert (l2.lo, l2.hi) == (l2_full.lo, l2_full.hi), flow.name
-    assert [(iv.lo, iv.hi) for iv in intermediates] == [
-        (iv.lo, iv.hi) for iv in analysis.intermediate_buffer_reqs
-    ], flow.name
+    analysis = abstract_analyze(box, flow, hw)
+    claims = [(analysis.l1_buffer_req, bounds.l1), (analysis.l2_buffer_req, bounds.l2)]
+    claims += zip(analysis.intermediate_buffer_reqs, bounds.intermediates)
+    assert len(analysis.intermediate_buffer_reqs) == len(bounds.intermediates), flow.name
+    for interval, peak in claims:
+        assert (interval.lo, interval.hi) == (peak.peak_bytes,) * 2, flow.name
     return True
 
 
 @pytest.mark.parametrize("num_pes", [8, 64, 256])
 @pytest.mark.parametrize("model,layer_name", BUFFER_LAYERS)
 def test_buffer_reqs_equal_full_analysis(model, layer_name, num_pes):
-    """On 8 PEs some cluster hierarchies cannot bind, so both passes
+    """On 8 PEs some cluster hierarchies cannot bind, so both analyzers
     must raise the same error; on 64 and 256 most mappings bind."""
-    box = ShapeBox.from_layer(build(model).layer(layer_name))
-    hw = HardwareBox.from_accelerator(Accelerator(num_pes=num_pes))
-    outcomes = [assert_buffer_parity(box, flow, hw) for flow in _buffer_parity_flows()]
+    layer = build(model).layer(layer_name)
+    accelerator = Accelerator(num_pes=num_pes)
+    outcomes = [assert_buffer_parity(layer, flow, accelerator) for flow in _buffer_parity_flows()]
     assert sum(outcomes) >= 30
     assert num_pes > 8 or not all(outcomes)
 
 
 def test_buffer_reqs_equal_full_analysis_on_interval_box():
-    """A K range and a PE range widen the intervals; they still match."""
+    """A K range and a PE range widen the intervals; every bindable
+    corner member's exact requirements stay inside them."""
     box = ShapeBox.from_layer(LAYER, ranges={D.K: (32, 256)})
-    hw = HardwareBox(num_pes=IntervalInt(32, 128), bandwidth=IntervalInt.point(32))
-    widened = 0
+    hw = HardwareBox.from_accelerator(
+        Accelerator(num_pes=32, noc=NoC(bandwidth=32)), num_pes=IntervalInt(32, 128)
+    )
+    members = [Accelerator(num_pes=pes, noc=NoC(bandwidth=32)) for pes in (32, 128)]
+    widened = checked = 0
     for flow in _buffer_parity_flows():
-        if assert_buffer_parity(box, flow, hw):
-            _, l2, _ = abstract_buffer_reqs(box, flow, hw)
-            widened += not l2.is_point
+        try:
+            analysis = abstract_analyze(box, flow, hw)
+        except (DataflowError, ValueError):
+            continue
+        l1, l2 = analysis.l1_buffer_req, analysis.l2_buffer_req
+        widened += not l2.is_point
+        for layer in box.corner_layers():
+            for accelerator in members:
+                try:
+                    bounds = compute_capacity_bounds(flow, layer, accelerator)
+                except DataflowError:
+                    continue
+                assert l1.lo <= bounds.l1.peak_bytes <= l1.hi, flow.name
+                assert l2.lo <= bounds.l2.peak_bytes <= l2.hi, flow.name
+                checked += 1
     assert widened > 0
+    assert checked >= 100
 
 
 # ----------------------------------------------------------------------

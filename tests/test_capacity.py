@@ -22,7 +22,9 @@ from repro.capacity import (
     compute_capacity_bounds,
 )
 from repro.dataflow.library import kc_partitioned, table3_dataflows
+from repro.dataflow.parser import parse_dataflow
 from repro.engines.analysis import analyze_layer
+from repro.errors import BindingError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
 from repro.model.zoo import build
@@ -155,11 +157,31 @@ class TestCrosscheck:
         (report,) = run("capacity", [(layer, flow)])
         assert report.ok, report.render()
         assert report.counts["engine_exact"]
+        assert report.counts["absint_exact"]
 
     def test_render_mentions_verdict(self, layer):
         (report,) = run("capacity", [(layer, kc_partitioned())])
         assert "AGREE" in report.render()
         assert report.to_dict()["ok"] is True
+
+    def test_pair_neither_analyzer_binds_agrees_as_unbound(self, layer):
+        """A hierarchy wider than the 64 checked PEs binds in neither
+        analyzer: the pair agrees instead of aborting the run."""
+        flow = parse_dataflow("SpatialMap(1,1) K\nCluster(128)\nSpatialMap(1,1) C", name="wide")
+        (report,) = run("capacity", [(layer, flow)])
+        assert report.ok, report.render()
+        assert report.counts == {"unbound": 1}
+
+    def test_interval_bind_failure_alone_is_a_mismatch(self, layer, monkeypatch):
+        import repro.absint
+
+        def unbindable(*args, **kwargs):
+            raise BindingError("planted")
+
+        monkeypatch.setattr(repro.absint, "abstract_analyze", unbindable)
+        (report,) = run("capacity", [(layer, kc_partitioned())])
+        assert [m.quantity for m in report.mismatches] == ["binds"]
+        assert report.counts["absint_exact"] == 0
 
 
 class TestDsePruning:

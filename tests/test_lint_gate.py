@@ -5,7 +5,8 @@ The gate (:func:`repro.serve.protocol.lint_gate`) decides with
 can emit an ERROR, and answers a rejection with the full report. These
 tests pin that the verdict equals the full lint's, that a 422 body is
 the full report byte for byte, that DF403 analyzes the linted mapping
-once, and that the capacity and comm facts are computed once per lint.
+once and reuses the library's analyses across lints, and that the
+capacity and comm facts are computed once per lint.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def test_served_422_body_is_the_full_lint_report_byte_for_byte(client, accelerat
 
 
 # ----------------------------------------------------------------------
-# DF403 analyzes the linted mapping once; shared facts are computed once
+# DF403 analyzes the linted mapping once and memoizes the library's
+# analyses; shared facts are computed once
 # ----------------------------------------------------------------------
 def _count_calls(monkeypatch, module, attr, fail=False):
     """Replace ``module.attr`` by a wrapper that records each call's
@@ -198,6 +200,18 @@ def test_df403_analyzes_the_linted_mapping_once_per_lint(monkeypatch):
         assert sum(call is flow for call in analyzed) == 1, name
         others = [call.name for call in analyzed if call is not flow]
         assert len(others) == len(set(others)) <= library, name
+
+
+def test_df403_reuses_library_analyses_across_lints(monkeypatch):
+    """A repeated lint analyzes only the linted mapping: the library's
+    analyses come from the DF403 memo, and the report is unchanged."""
+    flow, layer = stock_dataflows()["KC-P"], build("unet").layer("DOWN3_1")
+    accelerator = Accelerator(num_pes=128)
+    first = lint_dataflow(flow, layer, accelerator)
+    calls = _count_calls(monkeypatch, "repro.absint", "abstract_analyze")
+    second = lint_dataflow(flow, layer, accelerator)
+    assert [args[1] for args in calls] == [flow]
+    assert second.to_json() == first.to_json()
 
 
 def test_capacity_fact_is_computed_once_per_lint(monkeypatch):

@@ -3,9 +3,10 @@
 Pins what the registry unifies: its order and metadata match the public
 keywords, statistics fields, CLI flags and serve fields; its factored
 lint and comm decisions equal the direct per-candidate analyzer calls
-they replaced; the interval bounds the symbolic screen uses never exceed
-the capacity analyzer's certified peaks; and an analyzer that raises
-keeps the candidate and is counted as uncertified.
+they replaced; the interval bounds of a point box equal the capacity
+analyzer's exact requirements, which is why the tuner's symbolic screen
+reads the capacity fact; and an analyzer that raises keeps the candidate
+and is counted as uncertified.
 """
 
 import inspect
@@ -139,29 +140,30 @@ class TestParityWithDirectCalls:
             assert runner.reject(dataflow.name, dataflow, accelerator) == direct
 
 
-def test_interval_lower_bound_never_exceeds_certified_peak(candidates):
-    """The symbolic screen's bound is below the capacity screen's exact one.
+def test_point_box_intervals_equal_certified_peaks(candidates):
+    """On one layer and one accelerator the interval interpreter's L1/L2
+    requirements are points equal to the capacity analyzer's exact peaks.
 
-    So on the same buffer filter the symbolic screen cannot reject a
-    candidate the capacity screen keeps.
+    So the tuner's symbolic screen, which reads the capacity fact,
+    rejects what the interval lower bounds would reject.
     """
-    from repro.absint.engine import HardwareBox, abstract_buffer_reqs
-    from repro.absint.shapes import ShapeBox
+    from repro.absint import HardwareBox, ShapeBox, abstract_analyze
     from repro.capacity import compute_capacity_bounds
 
     accelerator = Accelerator(num_pes=256)
+    hardware = HardwareBox.from_accelerator(accelerator)
     checked = 0
     for model, layer_name in PARITY_LAYERS:
         layer = build(model).layer(layer_name)
         box = ShapeBox.from_layer(layer)
-        hardware = HardwareBox.from_accelerator(accelerator)
         for dataflow in candidates[::9]:
             if static_errors(dataflow, layer, accelerator):
                 continue
             bounds = compute_capacity_bounds(dataflow, layer, accelerator)
-            l1, l2, _ = abstract_buffer_reqs(box, dataflow, hardware)
-            assert l1.lo <= bounds.l1.peak_bytes, dataflow.name
-            assert l2.lo <= bounds.l2.peak_bytes, dataflow.name
+            analysis = abstract_analyze(box, dataflow, hardware)
+            l1, l2 = analysis.l1_buffer_req, analysis.l2_buffer_req
+            assert (l1.lo, l1.hi) == (bounds.l1.peak_bytes,) * 2, dataflow.name
+            assert (l2.lo, l2.hi) == (bounds.l2.peak_bytes,) * 2, dataflow.name
             checked += 1
     assert checked >= 300
 
@@ -192,24 +194,38 @@ class TestUncertified:
         assert obs.counter_value("screen.uncertified.verify") == reached > 0
 
     def test_tuner_keeps_candidates_when_symbolic_raises(self, monkeypatch):
-        import repro.absint.engine
+        """The symbolic screen's fact is the capacity fact: alone or beside
+        the capacity screen, a raising analyzer rejects nothing, and with
+        both screens on it is called once per candidate."""
+        import repro.capacity
 
         layer = build("vgg16").layer("CONV2")
         accelerator = Accelerator(num_pes=64)
         specs = list(enumerate_candidates())[:24]
         caps = {"max_l1_bytes": 256}
         plain = tune_layer(layer, accelerator, candidates=specs, cache=False, **caps)
-        monkeypatch.setattr(repro.absint.engine, "abstract_buffer_reqs", self._raise)
-        obs.configure(enabled=True, reset=True)
-        screened = tune_layer(
-            layer, accelerator, candidates=specs, cache=False, symbolic_prune=True, **caps
-        )
-        assert screened.symbolic_rejected == 0
-        assert screened.evaluated == plain.evaluated
-        assert screened.rejected == plain.rejected
-        assert screened.top == plain.top
         reached = len(specs) - plain.statically_rejected
-        assert obs.counter_value("screen.uncertified.symbolic") == reached > 0
+        calls = []
+
+        def raising(*args, **kwargs):
+            calls.append(args)
+            self._raise()
+
+        monkeypatch.setattr(repro.capacity, "compute_capacity_bounds", raising)
+        for screens in ({"symbolic_prune": True}, {"symbolic_prune": True, "capacity_prune": True}):
+            calls.clear()
+            obs.configure(enabled=True, reset=True)
+            screened = tune_layer(
+                layer, accelerator, candidates=specs, cache=False, **screens, **caps
+            )
+            assert screened.symbolic_rejected == screened.capacity_rejected == 0
+            assert screened.evaluated == plain.evaluated
+            assert screened.rejected == plain.rejected
+            assert screened.top == plain.top
+            assert len(calls) == reached > 0
+            for keyword, name in (("symbolic_prune", "symbolic"), ("capacity_prune", "capacity")):
+                expected = reached if keyword in screens else 0
+                assert obs.counter_value(f"screen.uncertified.{name}") == expected
 
     def test_explorer_keeps_points_when_capacity_raises(self, monkeypatch):
         import repro.capacity
@@ -230,17 +246,25 @@ class TestUncertified:
         assert obs.counter_value("screen.uncertified.capacity") == reached > 0
 
 
-def test_tuner_buffer_screens_reject_the_same_candidates():
-    """Regression pin for the perfbench tune-mapping caps: the symbolic
-    and capacity screens reject the same 590 of 1,344 candidates, and
-    neither changes the result."""
-    layer = build("resnet50").layer("CONV2_1b")
+@pytest.mark.parametrize(
+    "model,layer_name,rejected",
+    [
+        ("resnet50", "CONV2_1b", 590),
+        ("resnet50", "CONV3_1a", 226),
+        ("mobilenet_v2", "BN2_1_dw", 426),
+    ],
+)
+def test_tuner_buffer_screens_reject_the_same_candidates(model, layer_name, rejected):
+    """Regression pin for the perfbench tune-mapping caps on a standard,
+    a pointwise and a depthwise slot: the symbolic and capacity screens
+    reject the same candidates of 1,344, and neither changes the result."""
+    layer = build(model).layer(layer_name)
     accelerator = Accelerator(num_pes=256)
     caps = {"max_l1_bytes": 512, "max_l2_bytes": 200_000}
     plain = tune_layer(layer, accelerator, cache=False, **caps)
     symbolic = tune_layer(layer, accelerator, cache=False, symbolic_prune=True, **caps)
     capacity = tune_layer(layer, accelerator, cache=False, capacity_prune=True, **caps)
-    assert symbolic.symbolic_rejected == capacity.capacity_rejected == 590
+    assert symbolic.symbolic_rejected == capacity.capacity_rejected == rejected
     for screened in (symbolic, capacity):
         assert screened.top == plain.top
         assert screened.evaluated == plain.evaluated
