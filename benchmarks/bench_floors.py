@@ -1,5 +1,6 @@
 """Wall-clock floors: vector-engine speedup, engine phase shares, and the
-weekly large-size floors.
+weekly large-size floors (the last include the zoo x tuner grid twin
+check, which the weekly workflow runs as its own job).
 
 These floors depend on timing, or take too long for the tier-1 suite.
 The deterministic floors they extend are defined once, in
@@ -26,10 +27,11 @@ from repro.dse.space import DesignSpace, default_pe_counts, kc_partitioned_varia
 from repro.engines.analysis import analyze_layer
 from repro.errors import BindingError, DataflowError
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL
-from repro.model.zoo import build
+from repro.model.zoo import MODELS, build
 from repro.obs.profile import phase_timings
 from repro.vector import evaluate_grid, lower_group
 from tests.test_floors import assert_floor
+from tests.test_tuner_keying import assert_twins_share_screen_facts, tuner_grid
 from tests.test_vector_parity import assert_fig13_parity, fig13_grid
 
 #: Least points/s ratio of the vector engine over the scalar engines.
@@ -88,6 +90,19 @@ def test_vector_speedup(max_pes):
 @pytest.mark.parametrize("max_pes", [pytest.param(1024, id="weekly")])
 def test_equiv_floor(max_pes):
     assert_floor("equiv", max_pes)
+
+
+@pytest.mark.parametrize(
+    "num_pes", [pytest.param(64, id="weekly-64"), pytest.param(256, id="weekly-256")]
+)
+def test_zoo_tuner_grid_twins_share_screen_facts(num_pes):
+    """The equiv check, screen facts included, on every zoo layer x the
+    whole tuner grid: the tuner screens once per cache-key class."""
+    grid = tuner_grid()
+    pairs = [
+        (layer, flow) for model in sorted(MODELS) for layer in build(model).layers for flow in grid
+    ]
+    assert assert_twins_share_screen_facts(pairs, num_pes) > 0
 
 
 def test_phase_shares_match_baseline():

@@ -952,8 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
         "against independent oracles (comm: classifier vs reuse engine and "
         "brute-force PE access sets; capacity: buffer bounds vs engine "
         "sizing and an occupancy walk; equiv: canonical and transposed "
-        "twins vs bit-exact replays; gate: the serve lint gate's "
-        "errors-only verdict vs the full lint); exits 1 on any mismatch",
+        "twins vs bit-exact replays and the original's screen facts; gate: "
+        "the serve lint gate's errors-only verdict vs the full lint); exits "
+        "1 on any mismatch",
     )
     p_verify.add_argument(
         "--model", choices=sorted(MODELS), help="zoo model to verify against"

@@ -285,8 +285,8 @@ def explore(
             "dse",
             layer,
             (
-                ((label, dataflow.name), dataflow, acc.num_pes, (acc.num_pes, acc.noc.bandwidth))
-                for label, dataflow, acc in candidates
+                (dataflow, acc.num_pes, (acc.num_pes, acc.noc.bandwidth))
+                for _, dataflow, acc in candidates
             ),
         )
     representatives = [

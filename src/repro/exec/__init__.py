@@ -17,11 +17,11 @@ evaluate* from *how it is evaluated*:
   submission;
 - an :class:`AnalysisCache` memoizes outcomes under a content-addressed
   key (layer dims + canonicalized directives + hardware + energy model +
-  a model-version salt; :func:`cache_keys` builds a whole batch's keys
-  from fragments shared between its points), with an in-memory LRU tier
-  and an optional on-disk JSON store under ``$REPRO_CACHE_DIR`` (or
-  ``~/.cache/repro``), so repeated points across DSE grids, tuner
-  restarts, and benchmark reruns are free;
+  a model-version salt; :func:`cache_keys` and :class:`BatchKeyer`
+  build a whole batch's keys from fragments shared between its points),
+  with an in-memory LRU tier and an optional on-disk JSON store under
+  ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``), so repeated points
+  across DSE grids, tuner restarts, and benchmark reruns are free;
 - :class:`BatchStats` reports submitted / cache-hit / evaluated / failed
   counts and the evaluation wall time, surfaced alongside the sweep
   consumers' existing ``static_rejects`` / ``cost_model_calls`` counters.
@@ -38,6 +38,7 @@ from repro.exec.backend import (
 )
 from repro.exec.cache import (
     AnalysisCache,
+    BatchKeyer,
     cache_key,
     cache_keys,
     canonical_point_payload,
@@ -52,6 +53,7 @@ from repro.exec.serialize import analysis_from_dict, analysis_to_dict
 __all__ = [
     "AnalysisCache",
     "BatchEvaluator",
+    "BatchKeyer",
     "BatchResult",
     "BatchStats",
     "EvalOutcome",

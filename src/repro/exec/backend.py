@@ -48,15 +48,24 @@ VECTOR_AUTO_MIN_GROUP = 64
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """One (layer, dataflow, hardware) evaluation request."""
+    """One (layer, dataflow, hardware) evaluation request.
+
+    ``known_key`` is the point's cache key when the caller has already
+    computed it (the tuner keys its candidates to screen them); it must
+    equal what :func:`~repro.exec.cache.cache_key` computes, and a batch
+    then does not key the point again. It takes no part in equality.
+    """
 
     layer: Layer
     dataflow: Dataflow
     accelerator: Accelerator
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL
+    known_key: Optional[str] = field(default=None, compare=False)
 
     def key(self) -> str:
         """The point's content-addressed cache key."""
+        if self.known_key is not None:
+            return self.known_key
         return cache_key(self.layer, self.dataflow, self.accelerator, self.energy_model)
 
 
@@ -257,7 +266,11 @@ class BatchEvaluator:
         return vectorized, fallbacks
 
     def evaluate(self, points: Iterable[EvalPoint]) -> BatchResult:
-        """Evaluate every point, cache-first, preserving input order."""
+        """Evaluate every point, cache-first, preserving input order.
+
+        Points with a ``known_key`` are not keyed again; without a cache
+        no point is keyed and the known keys are not read.
+        """
         batch = list(points)
         with obs.span("exec.evaluate", submitted=len(batch)):
             return self._evaluate(batch)
@@ -269,18 +282,22 @@ class BatchEvaluator:
 
         # Cache pass: satisfy what we can, remember the miss positions.
         miss_indices: List[int] = []
-        keys: Sequence[Optional[str]] = [None] * len(points)
+        batch_keys: Sequence[str] = ()
         equiv_twin_hits = 0
         if self._cache is not None:
             with obs.span("exec.cache_lookup"):
-                # One keying pass for the whole batch: the shared work
-                # (canonical forms, serialized layers and hardware) is
-                # done once, and every key equals ``point.key()``.
-                batch_keys = cache_keys(
-                    (point.layer, point.dataflow, point.accelerator, point.energy_model)
-                    for point in points
+                # One keying pass for the points without a known key:
+                # the shared work (canonical forms, serialized layers and
+                # hardware) is done once, and every key equals
+                # ``point.key()``.
+                computed = iter(
+                    cache_keys(
+                        (point.layer, point.dataflow, point.accelerator, point.energy_model)
+                        for point in points
+                        if point.known_key is None
+                    )
                 )
-                keys = batch_keys
+                batch_keys = [point.known_key or next(computed) for point in points]
                 for index, (point, key) in enumerate(zip(points, batch_keys)):
                     hit = self._cache.get(key)
                     if hit is not None:
@@ -320,8 +337,7 @@ class BatchEvaluator:
             leader_by_key: Dict[str, int] = {}
             leaders: List[int] = []
             for index in miss_indices:
-                key_str = keys[index]
-                assert key_str is not None
+                key_str = batch_keys[index]
                 leader = leader_by_key.get(key_str)
                 if leader is None:
                     leader_by_key[key_str] = index
@@ -410,10 +426,9 @@ class BatchEvaluator:
         if self._cache is not None:
             with obs.span("exec.cache_store", misses=len(miss_indices)):
                 for index in miss_indices:
-                    key_str = keys[index]
                     outcome = outcomes[index]
-                    if key_str is not None and outcome is not None:
-                        self._cache.put(key_str, outcome)
+                    if outcome is not None:
+                        self._cache.put(batch_keys[index], outcome)
 
         final = [outcome for outcome in outcomes if outcome is not None]
         assert len(final) == len(outcomes), "every point must produce an outcome"

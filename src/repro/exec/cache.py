@@ -44,7 +44,18 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
@@ -56,6 +67,10 @@ from repro.model.layer import Layer
 from repro.engines.analysis import EvalOutcome
 from repro.exec.serialize import outcome_from_json, outcome_to_json
 from repro.tensors import dims as D
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.equiv.canonical import Key
+    from repro.equiv.symmetry import DimSymmetry
 
 #: Environment variable naming the on-disk cache directory. When set, the
 #: default cache persists outcomes across processes (and sessions).
@@ -194,15 +209,19 @@ def _energy_payload(model: EnergyModel) -> Dict[str, Any]:
 class _DataflowKeying:
     """One (layer, dataflow) pair's key inputs that do not depend on the PE count.
 
-    Canonicalizes once on construction; :meth:`payload` then applies the
-    only two PE-count-dependent rules, computing the orbit-least key at
-    most once. This is the single home of the dataflow keying rules,
-    shared by the one-point and batch paths.
+    Canonicalizes once on construction; :meth:`class_key` and
+    :meth:`payload` then apply the only two PE-count-dependent rules,
+    computing the orbit-least key at most once. This is the single home
+    of the dataflow keying rules, shared by the one-point and batch
+    paths and by the equivalence quotient of :mod:`repro.screens`.
+    ``symmetries`` is ``layer_symmetries(layer)``, which the caller
+    computes once per layer.
     """
 
-    def __init__(self, dataflow: Dataflow, layer: Layer) -> None:
+    def __init__(
+        self, dataflow: Dataflow, layer: Layer, symmetries: Tuple["DimSymmetry", ...]
+    ) -> None:
         from repro.equiv.canonical import canonicalize
-        from repro.equiv.symmetry import layer_symmetries
         from repro.util.intmath import prod
 
         self.name = dataflow.name
@@ -214,11 +233,23 @@ class _DataflowKeying:
                 "name": dataflow.name,
                 "directives": canonical_directives(dataflow, layer),
             }
-        self.symmetries = () if self.form.fallback else layer_symmetries(layer)
+        self.symmetries = () if self.form.fallback else symmetries
         self.cluster_pes = prod(
             [level.cluster_size for level in self.form.levels if level.cluster_size is not None]
         )
-        self._orbit_key: Optional[Tuple[object, ...]] = None
+        self._orbit_key: Optional["Key"] = None
+
+    def class_key(self, num_pes: int) -> "Key":
+        """The equivalence class at ``num_pes`` PEs: the canonical key, or
+        its orbit-least key where the integer-activity certificate proves
+        transposed twins bit-identical at that PE count."""
+        from repro.equiv.symmetry import integral_active, orbit_key
+
+        if self.symmetries and integral_active(self.form, num_pes):
+            if self._orbit_key is None:
+                self._orbit_key = orbit_key(self.form.key, self.symmetries)
+            return self._orbit_key
+        return self.form.key
 
     def payload(self, num_pes: int) -> Dict[str, Any]:
         """The dataflow portion of the cache key at ``num_pes`` PEs.
@@ -226,16 +257,9 @@ class _DataflowKeying:
         The ``"key"`` entry is the structural key *tuple*; JSON renders
         it exactly as its :func:`~repro.equiv.canonical.key_to_json` list.
         """
-        from repro.equiv.symmetry import integral_active, orbit_key
-
         if self.fallback is not None:
             return self.fallback
-        key = self.form.key
-        if self.symmetries and integral_active(self.form, num_pes):
-            if self._orbit_key is None:
-                self._orbit_key = orbit_key(key, self.symmetries)
-            key = self._orbit_key
-        payload: Dict[str, Any] = {"key": key}
+        payload: Dict[str, Any] = {"key": self.class_key(num_pes)}
         if self.cluster_pes > num_pes:
             payload["name"] = self.name  # binding rejects; message names the mapping
         return payload
@@ -261,7 +285,7 @@ def dataflow_cache_payload(
     """
     from repro.equiv.canonical import key_to_json
 
-    payload = _DataflowKeying(dataflow, layer).payload(num_pes)
+    payload = BatchKeyer().keying(layer, dataflow).payload(num_pes)
     if "key" in payload:
         payload["key"] = key_to_json(payload["key"])
     return payload
@@ -303,7 +327,7 @@ def _fragment(
     return entry[1]
 
 
-class _BatchKeyer:
+class BatchKeyer:
     """Cache keys for one batch, built from memoized JSON fragments.
 
     The key text is the sorted-key join of five fragments — accelerator,
@@ -311,8 +335,11 @@ class _BatchKeyer:
     ``_dumps(canonical_point_payload(...))`` because the JSON encoder
     renders a nested object the same whether or not it is embedded.
     Each distinct layer, energy model and accelerator is serialized
-    once; each distinct (layer, dataflow) pair is canonicalized once and
-    its dataflow fragment rendered once per PE count.
+    once, each layer's symmetry group is computed once, and each
+    distinct (layer, dataflow) pair is canonicalized once and its
+    dataflow fragment rendered once per PE count. :meth:`keying` hands
+    out that pair's canonical form, so a caller that keys a batch first
+    (the tuner) quotients it without canonicalizing again.
 
     The memo tables are keyed by object identity and hold a reference to
     every object they key, so no id can be recycled while the keyer is
@@ -324,19 +351,34 @@ class _BatchKeyer:
         self._layers: Dict[int, Tuple[Layer, str]] = {}
         self._accelerators: Dict[int, Tuple[Accelerator, str]] = {}
         self._energy: Dict[int, Tuple[EnergyModel, str]] = {}
+        self._symmetries: Dict[int, Tuple[Layer, Tuple["DimSymmetry", ...]]] = {}
         self._dataflows: Dict[
             Tuple[int, int], Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]
         ] = {}
 
-    def _dataflow_fragment(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> str:
+    def _entry(
+        self, layer: Layer, dataflow: Dataflow
+    ) -> Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]:
         entry = self._dataflows.get((id(layer), id(dataflow)))
         if entry is None:
-            entry = (layer, dataflow, _DataflowKeying(dataflow, layer), {})
+            symmetries = self._symmetries.get(id(layer))
+            if symmetries is None:
+                from repro.equiv.symmetry import layer_symmetries
+
+                symmetries = self._symmetries[id(layer)] = (layer, layer_symmetries(layer))
+            entry = (layer, dataflow, _DataflowKeying(dataflow, layer, symmetries[1]), {})
             self._dataflows[(id(layer), id(dataflow))] = entry
-        by_pes = entry[3]
+        return entry
+
+    def keying(self, layer: Layer, dataflow: Dataflow) -> _DataflowKeying:
+        """The (layer, dataflow) pair's canonical form and keying rules."""
+        return self._entry(layer, dataflow)[2]
+
+    def _dataflow_fragment(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> str:
+        _, _, keying, by_pes = self._entry(layer, dataflow)
         fragment = by_pes.get(num_pes)
         if fragment is None:
-            fragment = by_pes[num_pes] = _dumps(entry[2].payload(num_pes))
+            fragment = by_pes[num_pes] = _dumps(keying.payload(num_pes))
         return fragment
 
     def key(
@@ -356,6 +398,11 @@ class _BatchKeyer:
         )
         return hashlib.sha256(text.encode()).hexdigest()
 
+    def keys(self, points: Iterable[KeyedPoint]) -> List[str]:
+        """The cache keys of ``points``, in input order."""
+        with obs.span("exec.cache.key"):
+            return [self.key(*point) for point in points]
+
 
 def cache_keys(points: Iterable[KeyedPoint]) -> List[str]:
     """The cache keys of a whole batch, in input order.
@@ -364,9 +411,7 @@ def cache_keys(points: Iterable[KeyedPoint]) -> List[str]:
     between points (serialization, canonicalization) is done once per
     batch instead of once per point.
     """
-    keyer = _BatchKeyer()
-    with obs.span("exec.cache.key"):
-        return [keyer.key(*point) for point in points]
+    return BatchKeyer().keys(points)
 
 
 def cache_key(
@@ -380,7 +425,7 @@ def cache_key(
     The one-point case of :func:`cache_keys`: the SHA-256 of
     ``_dumps(canonical_point_payload(...))``.
     """
-    return _BatchKeyer().key(layer, dataflow, accelerator, energy_model)
+    return BatchKeyer().key(layer, dataflow, accelerator, energy_model)
 
 
 class AnalysisCache:

@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataflow.dataflow import Dataflow
     from repro.engines.binding import BoundDataflow
     from repro.engines.tensor_analysis import TensorAnalysis
+    from repro.equiv.canonical import CanonicalForm, Key
     from repro.hardware.accelerator import Accelerator
     from repro.model.layer import Layer
     from repro.verify.result import VerifyResult
@@ -1340,6 +1341,18 @@ def _equiv_dataflow(ctx: RuleContext) -> "Optional[Dataflow]":
         return None
 
 
+@shared_fact
+def _canonical_form(ctx: RuleContext) -> "Optional[Tuple[Dataflow, CanonicalForm]]":
+    """The mapping under lint and its canonical form on the layer, or
+    ``None``; DF400-DF403 share one canonicalization per lint."""
+    flow = _equiv_dataflow(ctx)
+    if flow is None or ctx.layer is None:
+        return None
+    from repro.equiv.canonical import canonicalize
+
+    return flow, canonicalize(flow, ctx.layer)
+
+
 @rule(
     "DF400",
     "redundant directive: single-chunk TemporalMap is inert",
@@ -1355,14 +1368,12 @@ def _check_redundant_directive(ctx: RuleContext) -> Iterator[Diagnostic]:
     ``verify --check equiv``). The last directive naming ``Y'``/``X'`` is
     exempt — its presence selects the output-coordinate representation.
     """
-    flow = _equiv_dataflow(ctx)
-    if flow is None or ctx.layer is None:
+    own = _canonical_form(ctx)
+    if own is None or own[1].fallback:
         return
-    from repro.equiv.canonical import EQUIV_PROVENANCE, canonicalize
+    from repro.equiv.canonical import EQUIV_PROVENANCE
 
-    form = canonicalize(flow, ctx.layer)
-    if form.fallback:
-        return
+    form = own[1]
     for index in form.elided:
         directive = ctx.directives[index]
         dim = getattr(directive, "dim", "?")
@@ -1395,15 +1406,12 @@ def _check_noncanonical_order(ctx: RuleContext) -> Iterator[Diagnostic]:
     spellings of the same schedule identical, which is what the exec
     cache and ``--equiv-prune`` key on.
     """
-    flow = _equiv_dataflow(ctx)
-    if flow is None or ctx.layer is None:
+    own = _canonical_form(ctx)
+    if own is None or own[1].fallback:
         return
-    from repro.equiv.canonical import EQUIV_PROVENANCE, canonicalize
+    from repro.equiv.canonical import EQUIV_PROVENANCE
 
-    form = canonicalize(flow, ctx.layer)
-    if form.fallback:
-        return
-    for index, (kind, dim, size, offset) in form.slot_changes:
+    for index, (kind, dim, size, offset) in own[1].slot_changes:
         replacement = f"{'SpatialMap' if kind == 'S' else 'TemporalMap'}({size},{offset}) {dim}"
         yield ctx.diag(
             "DF401",
@@ -1433,23 +1441,21 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
     unconditional (no integer-activity certificate), so twins may differ
     in final float ulps — they are equivalent schedules regardless.
     """
-    flow = _equiv_dataflow(ctx)
-    if flow is None or ctx.layer is None:
+    own = _canonical_form(ctx)
+    if own is None or own[1].fallback or ctx.layer is None:
         return
-    from repro.dataflow.library import stock_dataflows
-    from repro.equiv.canonical import EQUIV_PROVENANCE, canonicalize
+    from repro.absint import ShapeBox
+    from repro.equiv.canonical import EQUIV_PROVENANCE
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     symmetries = layer_symmetries(ctx.layer)
     if not symmetries:
         return
-    form = canonicalize(flow, ctx.layer)
-    if form.fallback:
-        return
-    own_key = form.key
+    box = ShapeBox.from_layer(ctx.layer)
+    own_key = own[1].key
     own_orbit = orbit_key(own_key, symmetries)
-    for lib_flow in sorted(stock_dataflows().values(), key=lambda f: f.name):
-        lib_key = canonicalize(lib_flow, ctx.layer).key
+    for name, lib_flow in _stock_library(include_playground=True):
+        lib_key = _library_key(name, box)
         if lib_key == own_key:
             continue  # identical schedule, not a twin
         if orbit_key(lib_key, symmetries) == own_orbit:
@@ -1463,14 +1469,33 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
             return
 
 
-@functools.lru_cache(maxsize=1)
-def _dominance_library() -> "Tuple[Tuple[str, Dataflow], ...]":
-    """The stock mappings DF403 compares against, as (catalog name,
-    mapping) pairs in mapping-name order."""
+@functools.lru_cache(maxsize=2)
+def _stock_library(include_playground: bool) -> "Tuple[Tuple[str, Dataflow], ...]":
+    """The stock mappings as (catalog name, mapping) pairs in
+    mapping-name order, built once: DF402 compares against the whole
+    catalog, DF403 against the one without the Figure 5 playground."""
     from repro.dataflow.library import stock_dataflows
 
-    catalog = stock_dataflows(include_playground=False)
+    catalog = stock_dataflows(include_playground=include_playground)
     return tuple(sorted(catalog.items(), key=lambda item: item[1].name))
+
+
+@functools.lru_cache(maxsize=8192)
+def _library_key(name: str, box: "ShapeBox") -> "Key":
+    """The canonical key of stock mapping ``name`` on the layer of point
+    box ``box``.
+
+    Canonicalization reads only the layer's extents and strides, which
+    the point box ``ShapeBox.from_layer(layer)`` fixes, so the box's
+    representative layer canonicalizes exactly as the layer does. Every
+    DF402 and DF403 check compares against the same library, so each
+    (mapping, layer shape) is canonicalized once; one zoo x library pass
+    is ~4,400 small tuples.
+    """
+    from repro.equiv.canonical import canonicalize
+
+    flow = dict(_stock_library(include_playground=True))[name]
+    return canonicalize(flow, box.representative_layer()).key
 
 
 @functools.lru_cache(maxsize=4096)
@@ -1489,7 +1514,7 @@ def _library_analysis(
     from repro.absint import abstract_analyze
 
     try:
-        return abstract_analyze(box, dict(_dominance_library())[name], hw)
+        return abstract_analyze(box, dict(_stock_library(include_playground=False))[name], hw)
     except (DataflowError, ValueError):
         return None
 
@@ -1509,18 +1534,18 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     same equivalence orbit are skipped (a schedule cannot dominate
     itself).
     """
-    flow = _equiv_dataflow(ctx)
-    if flow is None or ctx.layer is None or ctx.accelerator is None:
+    own_form = _canonical_form(ctx)
+    if own_form is None or ctx.layer is None or ctx.accelerator is None:
         return
     from repro.absint import HardwareBox, ShapeBox, abstract_analyze
-    from repro.equiv.canonical import canonicalize
     from repro.equiv.dominance import DOMINANCE_PROVENANCE, certify_dominance
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
+    flow = own_form[0]
     hw = HardwareBox.from_accelerator(ctx.accelerator)
     box = ShapeBox.from_layer(ctx.layer)
     symmetries = layer_symmetries(ctx.layer)
-    own_orbit = orbit_key(canonicalize(flow, ctx.layer).key, symmetries)
+    own_orbit = orbit_key(own_form[1].key, symmetries)
     # One analysis of this mapping serves every comparison; each library
     # mapping's analysis comes from the memo.
     try:
@@ -1529,8 +1554,8 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
         return
     if own.caveats:
         return  # caveated bounds certify nothing (repro.equiv.dominance)
-    for name, lib_flow in _dominance_library():
-        lib_orbit = orbit_key(canonicalize(lib_flow, ctx.layer).key, symmetries)
+    for name, lib_flow in _stock_library(include_playground=False):
+        lib_orbit = orbit_key(_library_key(name, box), symmetries)
         if lib_orbit == own_orbit:
             continue
         lib = _library_analysis(name, box, hw)

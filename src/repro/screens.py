@@ -24,6 +24,24 @@ answer the caller would throw away, so the valid set, the Pareto front
 and every optimum are bit-identical with or without it. The argument
 for each screen is written once, above its entry.
 
+Points that name the same *variant* share each screen's fact. The
+explorer names a variant by its tile label and mapping name. The tuner
+names each candidate by its cache key (:mod:`repro.exec.cache`), so a
+fact is computed once per cache-key class and every member still gets
+its own decision and its own reject credit. That is sound because:
+
+- equal cache keys mean bit-identical cost-model outcomes: that is the
+  cache's own contract, which ``verify --check equiv`` enforces by
+  replaying each mapping's canonical twin and its certified transposed
+  twin;
+- the same check compares the lint, verify, comm and capacity facts of
+  each mapping with those of both twins, so a class shares each
+  screen's decision as well as its outcome (0 mismatches over the zoo
+  × tuner grid at 64 and 256 PEs);
+- fallback forms, which nothing is proven about, and mappings whose
+  cluster hierarchy exceeds the PE count carry the mapping name in
+  their key, so they stay singletons.
+
 The equivalence quotient (:func:`equiv_quotient`) is not a screen: it
 rejects nothing, it lets one representative per equivalence class pay
 the cost-model call for its twins.
@@ -38,6 +56,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, T
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import DataflowError
+from repro.exec.cache import BatchKeyer
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import Layer
 
@@ -357,36 +376,32 @@ def enabled_rejects(scope: str, result: object, enabled: Mapping[str, bool]) -> 
 
 
 def equiv_quotient(
-    scope: str, layer: Layer, candidates: Iterable[Tuple[Hashable, Dataflow, int, Hashable]]
+    scope: str,
+    layer: Layer,
+    candidates: Iterable[Tuple[Dataflow, int, Hashable]],
+    keyer: Optional[BatchKeyer] = None,
 ) -> Dict[int, int]:
     """Map each replayable candidate's index to its representative's.
 
-    ``candidates`` yields ``(variant, dataflow, num_pes, site)``. At one
-    ``site`` (a hardware point), candidates in the same equivalence
-    class share one cost-model call: the first pays it, the others
-    replay its outcome. Classes use the exact canonical key of
-    :mod:`repro.equiv`, extended to the layer's symmetry orbit only
-    where the integer-activity certificate proves transposed twins
-    bit-identical at that PE count, so every replayed outcome equals
-    what the cost model would have returned.
+    ``candidates`` yields ``(dataflow, num_pes, site)``. At one ``site``
+    (a hardware point), candidates in the same equivalence class share
+    one cost-model call: the first pays it, the others replay its
+    outcome. Classes use the exact canonical key of :mod:`repro.equiv`,
+    extended to the layer's symmetry orbit only where the
+    integer-activity certificate proves transposed twins bit-identical
+    at that PE count, so every replayed outcome equals what the cost
+    model would have returned. ``keyer`` is a batch keyer that has
+    already canonicalized the candidates (the tuner's); by default a
+    fresh one canonicalizes each distinct mapping once.
     """
-    from repro.equiv import canonicalize, integral_active, layer_symmetries, orbit_key
-
+    keyer = keyer if keyer is not None else BatchKeyer()
     replay_of: Dict[int, int] = {}
     with obs.span("screen.equiv"):
-        symmetries = layer_symmetries(layer)
-        forms: Dict[Hashable, Any] = {}
         representatives: Dict[Hashable, int] = {}
-        for index, (variant, dataflow, num_pes, site) in enumerate(candidates):
-            form = forms.get(variant)
-            if form is None:
-                form = forms[variant] = canonicalize(dataflow, layer)
-            class_key = form.key
-            if symmetries and integral_active(form, num_pes):
-                class_key = orbit_key(class_key, symmetries)
+        for index, (dataflow, num_pes, site) in enumerate(candidates):
+            class_key = keyer.keying(layer, dataflow).class_key(num_pes)
             representative = representatives.setdefault((site, class_key), index)
             if representative != index:
                 replay_of[index] = representative
     obs.inc(f"{scope}.pruned_by_equiv", len(replay_of))
     return replay_of
-

@@ -11,7 +11,7 @@ from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.engines.analysis import LayerAnalysis
 from repro.errors import BindingError, DataflowError
-from repro.exec import AnalysisCache, BatchEvaluator, EvalOutcome, EvalPoint
+from repro.exec import AnalysisCache, BatchEvaluator, BatchKeyer, EvalOutcome, EvalPoint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.lint.engine import static_errors  # noqa: F401 - traced by name (perfbench/ledger.py)
@@ -78,6 +78,56 @@ class TunerResult:
         return self.best.report
 
 
+#: One candidate that passed the screens: its spec, mapping and cache key.
+_Runnable = Tuple[CandidateSpec, Dataflow, str]
+
+
+def _screened_candidates(
+    specs: List[CandidateSpec],
+    layer: Layer,
+    accelerator: Accelerator,
+    energy_model: EnergyModel,
+    screens: ScreenRunner,
+    equiv_prune: bool,
+) -> Tuple[List[_Runnable], Dict[int, int], int]:
+    """Phase 1 of :func:`tune_layer`: the candidates that pass the screens.
+
+    Returns them, the equivalence quotient's replay map over them (empty
+    without ``equiv_prune``) and how many candidates were rejected. Each
+    candidate is keyed once and its cache key names its screen variant,
+    so every screen computes one fact per cache-key class (the soundness
+    argument is in :mod:`repro.screens`) and the quotient reads the
+    keyer's canonical forms. The keyer is dropped on return, so the cost
+    model reuses its memory.
+    """
+    with obs.span("tuner.enumerate", specs=len(specs)):
+        rejected = 0
+        built: List[Tuple[CandidateSpec, Dataflow]] = []
+        for spec in specs:
+            try:
+                built.append((spec, spec.build()))
+            except (BindingError, DataflowError):
+                rejected += 1
+        keyer = BatchKeyer()
+        keys = keyer.keys((layer, dataflow, accelerator, energy_model) for _, dataflow in built)
+        runnable: List[_Runnable] = []
+        for (spec, dataflow), key in zip(built, keys):
+            if screens.reject(key, dataflow, accelerator):
+                rejected += 1
+                continue
+            runnable.append((spec, dataflow, key))
+
+    replay_of: Dict[int, int] = {}
+    if equiv_prune:
+        replay_of = equiv_quotient(
+            "tuner",
+            layer,
+            ((dataflow, accelerator.num_pes, None) for _, dataflow, _ in runnable),
+            keyer,
+        )
+    return runnable, replay_of, rejected
+
+
 def tune_layer(
     layer: Layer,
     accelerator: Accelerator,
@@ -112,21 +162,27 @@ def tune_layer(
     (on by default), ``verify_coverage``, ``comm_prune`` (only on an
     accelerator without ``reduction_support``), then ``capacity_prune``
     and ``symbolic_prune`` (both only with a buffer cap; both check it
-    against the capacity analyzer's exact L1/L2 requirements, computed
-    once per candidate when both are on). Each rejects only
-    candidates the tuner would reject anyway, so the winner is
-    unchanged; the argument for each is on its registry entry.
+    against the capacity analyzer's exact L1/L2 requirements). Each
+    rejects only candidates the tuner would reject anyway, so the winner
+    is unchanged; the argument for each is on its registry entry. Every
+    candidate is keyed once, before the screens, and each screen's fact
+    is computed once per cache-key class (one capacity fact per class
+    when both buffer screens are on); each candidate still gets its own
+    decision and reject credit.
 
     With ``equiv_prune`` the survivors are quotiented by
-    :func:`repro.screens.equiv_quotient`: only one representative per
-    equivalence class pays a cost-model call, and the rest replay its
-    report with their own mapping name restored (``equiv_replayed``).
+    :func:`repro.screens.equiv_quotient`, which reuses the canonical
+    forms of the keying pass: only one representative per equivalence
+    class pays a cost-model call, and the rest replay its report with
+    their own mapping name restored (``equiv_replayed``).
 
     Surviving candidates are scored through the batch-evaluation backend
-    (:mod:`repro.exec`): ``executor``/``jobs``/``cache`` are pure
-    performance knobs — every combination scores the identical set
-    (``executor="vector"`` batches same-template candidates through the
-    whole-grid NumPy engine in :mod:`repro.vector`).
+    (:mod:`repro.exec`), which reuses their keys: ``executor``/``jobs``/
+    ``cache`` are pure performance knobs — every combination scores the
+    identical set. ``executor="vector"`` gains nothing here: every
+    mapping is its own vector group, smaller than
+    :data:`~repro.exec.backend.VECTOR_MIN_GROUP`, so it falls back to the
+    scalar engines point by point (ROADMAP item 2).
     """
     start = time.perf_counter()
     try:
@@ -164,28 +220,10 @@ def tune_layer(
         },
     )
 
-    # Phase 1 — enumerate: build + screen the candidates.
-    with obs.span("tuner.enumerate", specs=len(specs)):
-        rejected = 0
-        runnable: List[Tuple[CandidateSpec, Dataflow]] = []
-        for spec in specs:
-            try:
-                dataflow = spec.build()
-            except (BindingError, DataflowError):
-                rejected += 1
-                continue
-            if screens.reject(dataflow.name, dataflow, accelerator):
-                rejected += 1
-                continue
-            runnable.append((spec, dataflow))
-
-    replay_of: Dict[int, int] = {}
-    if equiv_prune:
-        replay_of = equiv_quotient(
-            "tuner",
-            layer,
-            ((dataflow.name, dataflow, accelerator.num_pes, None) for _, dataflow in runnable),
-        )
+    # Phase 1 — enumerate: build, key, screen and quotient the candidates.
+    runnable, replay_of, rejected = _screened_candidates(
+        specs, layer, accelerator, energy_model, screens, equiv_prune
+    )
     eval_indices = [index for index in range(len(runnable)) if index not in replay_of]
 
     # Phase 2 — evaluate through the backend (memoized, parallelizable).
@@ -197,6 +235,7 @@ def tune_layer(
                 dataflow=runnable[index][1],
                 accelerator=accelerator,
                 energy_model=energy_model,
+                known_key=runnable[index][2],
             )
             for index in eval_indices
         )
@@ -205,7 +244,7 @@ def tune_layer(
     # Phase 3 — filter and score, in enumeration order.
     with obs.span("tuner.score"):
         scored: List[ScoredCandidate] = []
-        for index, (spec, dataflow) in enumerate(runnable):
+        for index, (spec, dataflow, _) in enumerate(runnable):
             outcome = outcome_at.get(index)
             if outcome is None:
                 outcome = outcome_at[replay_of[index]]

@@ -21,7 +21,9 @@ reports every disagreement as a :class:`Mismatch`:
   integer-activity certificate holds, its transposed twin) analyzes
   bit-identically. Every claim it makes about the engines ("a one-step
   iterator is inert", "spatial slots commute") is re-proven with the
-  same zero-tolerance comparator as ``vector``.
+  same zero-tolerance comparator as ``vector``, and each twin's lint,
+  verify, comm and capacity screen facts must equal the original's
+  (the tuner screens once per cache-key class, :mod:`repro.screens`).
 - ``comm`` — the communication classifier (:mod:`repro.comm`) is
   replayed against the reuse engine's spatial-reuse verdicts and
   against brute-force PE access-set enumeration.
@@ -447,8 +449,33 @@ def run_vector(
 # ----------------------------------------------------------------------
 # equiv: canonical and transposed twins vs bit-exact replays
 # ----------------------------------------------------------------------
-def _equiv(dataflow: Dataflow, layer: Layer) -> Outcome:
-    """Canonical/transposed twins on 256 PEs against the mapping as spelled.
+def _screen_facts(dataflow: Dataflow, layer: Layer, accelerator: Accelerator) -> Dict[str, Any]:
+    """The lint, verify, comm and capacity facts of one mapping.
+
+    Each is computed by its :data:`repro.screens.SCREENS` entry (the
+    symbolic screen reads the capacity fact, so it adds none). An
+    analyzer that raises reads as its exception type, whatever the type:
+    the screen runner keeps such a candidate, and its twins must raise
+    alike.
+    """
+    from repro.screens import SCREENS, ScreenContext
+
+    context = ScreenContext(layer, accelerator.reduction_support, None)
+    facts: Dict[str, Any] = {}
+    computed: List[Callable[..., Any]] = []
+    for screen in SCREENS:
+        if screen.fact in computed:
+            continue
+        computed.append(screen.fact)
+        try:
+            facts[screen.name] = screen.fact(dataflow, accelerator, context)
+        except Exception as error:  # the screen runner's soundness catch, mirrored
+            facts[screen.name] = f"raises {type(error).__name__}"
+    return facts
+
+
+def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
+    """Canonical/transposed twins on ``num_pes`` PEs against the mapping as spelled.
 
     The canonical twin keeps the original's name, so the comparison is
     total — any field difference, including type drift, is a mismatch.
@@ -456,7 +483,9 @@ def _equiv(dataflow: Dataflow, layer: Layer) -> Outcome:
     and :func:`~repro.equiv.symmetry.integral_active` certifies
     bit-exactness at the accelerator's PE count; it is compared with
     its ``dataflow_name`` restored (the only field the quotient
-    legitimately changes).
+    legitimately changes). Each twin's lint, verify, comm and capacity
+    screen facts must also equal the original's: the tuner computes
+    each fact once per cache-key class, and twins share a cache key.
     """
     from repro.equiv.canonical import canonicalize
     from repro.equiv.symmetry import (
@@ -465,20 +494,28 @@ def _equiv(dataflow: Dataflow, layer: Layer) -> Outcome:
         transpose_dataflow,
     )
 
-    accelerator = Accelerator(num_pes=256)
+    accelerator = Accelerator(num_pes=num_pes)
     original = _scalar_outcome(layer, dataflow, accelerator)
     form = canonicalize(dataflow, layer)
     mismatches: List[Mismatch] = []
+    facts: Dict[str, Any] = {}
 
-    def record(variant: str, twin: EvalOutcome) -> None:
+    def record(variant: str, twin_flow: Dataflow, twin: EvalOutcome) -> None:
         for path, a, b in compare_outcomes(original, twin):
             mismatches.append(Mismatch("equiv", variant, path, claimed=b, oracle=a))
+        if not facts:
+            facts.update(_screen_facts(dataflow, layer, accelerator))
+        for name, fact in _screen_facts(twin_flow, layer, accelerator).items():
+            if fact != facts[name]:
+                mismatches.append(
+                    Mismatch("equiv", variant, f"screen.{name}", claimed=fact, oracle=facts[name])
+                )
 
     canonical_changed = int(not form.fallback and form.changed)
     if canonical_changed:
         # canonicalize pre-validates the directives, so this never raises.
         twin_flow = Dataflow(name=dataflow.name, directives=form.directives)
-        record("canonical", _scalar_outcome(layer, twin_flow, accelerator))
+        record("canonical", twin_flow, _scalar_outcome(layer, twin_flow, accelerator))
 
     transposed_checked = 0
     if (
@@ -487,19 +524,19 @@ def _equiv(dataflow: Dataflow, layer: Layer) -> Outcome:
         and integral_active(form, accelerator.num_pes)
     ):
         try:
-            twin_flow = transpose_dataflow(dataflow, name=dataflow.name)
+            transposed: Optional[Dataflow] = transpose_dataflow(dataflow, name=dataflow.name)
         except DataflowError:
-            twin_flow = None
-        if twin_flow is not None:
+            transposed = None
+        if transposed is not None:
             transposed_checked = 1
-            twin = _scalar_outcome(layer, twin_flow, accelerator)
+            twin = _scalar_outcome(layer, transposed, accelerator)
             if twin.report is not None:
                 twin = EvalOutcome(
                     report=dataclasses.replace(
                         twin.report, dataflow_name=dataflow.name
                     )
                 )
-            record("transposed", twin)
+            record("transposed", transposed, twin)
 
     counts = {
         "canonical_changed": canonical_changed,

@@ -447,6 +447,46 @@ class TestBatchCacheKeys:
         keys = _assert_batch_parity(points)
         assert len(set(keys)) == len(set(combos))
 
+    def test_symmetries_once_per_layer_on_a_mixed_batch(self, layer, monkeypatch):
+        """A shuffled batch of symmetric, non-square and depthwise layers,
+        fallback and over-clustered mappings at several PE counts keys
+        exactly like the one-point formula, with one symmetry group per
+        layer."""
+        import random
+
+        import repro.equiv.symmetry
+        from repro.dataflow.library import kc_partitioned, yr_partitioned
+
+        layers = [
+            layer,
+            build("mobilenet_v2").layer("BN2_1_dw"),
+            conv2d("odd", k=6, c=3, y=9, x=7, r=3, s=1),
+        ]
+        flows = [
+            kc_partitioned(c_tile=8),
+            kc_partitioned(c_tile=64),
+            yr_partitioned(),
+            Dataflow(name="unresolvable", directives=(temporal_map("Sz(Q)", "Sz(Q)", D.K),)),
+        ]
+        points = [
+            (each, flow, Accelerator(num_pes=pes), DEFAULT_ENERGY_MODEL)
+            for each in layers
+            for flow in flows
+            for pes in (8, 64, 256)
+        ]
+        random.Random(7).shuffle(points)
+        one_point = [cache_key(*point) for point in points]
+        computed = []
+        real = repro.equiv.symmetry.layer_symmetries
+
+        def counting(each):
+            computed.append(each.name)
+            return real(each)
+
+        monkeypatch.setattr(repro.equiv.symmetry, "layer_symmetries", counting)
+        assert cache_keys(points) == one_point
+        assert sorted(computed) == sorted(each.name for each in layers)
+
     def test_equal_but_distinct_objects(self, layer):
         from repro.dataflow.library import kc_partitioned
 
@@ -688,6 +728,39 @@ class TestSingleFlight:
         left = dc_replace(leader.report, dataflow_name="")
         right = dc_replace(follower.report, dataflow_name="")
         assert_reports_bit_identical(left, right)
+
+    def test_known_keys_are_not_keyed_again(self, points, monkeypatch):
+        """A batch keys only the points without a ``known_key``; without a
+        cache no key is read, so there is no single-flight."""
+        from dataclasses import replace as dc_replace
+
+        import repro.exec.backend
+
+        doubled = points + points
+        reference = evaluate_batch(doubled, executor="serial", cache=AnalysisCache())
+        mixed = [
+            dc_replace(point, known_key=point.key()) if index % 2 else point
+            for index, point in enumerate(doubled)
+        ]
+        assert mixed == doubled  # the known key takes no part in equality
+        keyed = []
+        real = repro.exec.backend.cache_keys
+
+        def counting(batch):
+            batch = list(batch)
+            keyed.extend(batch)
+            return real(batch)
+
+        monkeypatch.setattr(repro.exec.backend, "cache_keys", counting)
+        batch = evaluate_batch(mixed, executor="serial", cache=AnalysisCache())
+        assert batch.outcomes == reference.outcomes
+        assert batch.stats.singleflight_hits == len(points)
+        assert len(keyed) == len(doubled) // 2
+        keyed.clear()
+        plain = evaluate_batch(mixed, executor="serial", cache=False)
+        assert plain.stats.singleflight_hits == 0
+        assert plain.stats.evaluated == len(doubled)
+        assert keyed == []
 
     def test_no_dedup_without_cache(self, points):
         batch = evaluate_batch(points + points, executor="serial", cache=False)

@@ -19,7 +19,9 @@ from repro.cli import build_parser
 from repro.comm import classify_dataflow
 from repro.dse.explorer import DSEStatistics, explore
 from repro.dse.space import DesignSpace, default_bandwidths, kc_partitioned_variants
+from repro.exec import cache_key
 from repro.hardware.accelerator import Accelerator
+from repro.hardware.energy import DEFAULT_ENERGY_MODEL
 from repro.lint.engine import static_errors
 from repro.model.zoo import build
 from repro.screens import (
@@ -196,7 +198,9 @@ class TestUncertified:
     def test_tuner_keeps_candidates_when_symbolic_raises(self, monkeypatch):
         """The symbolic screen's fact is the capacity fact: alone or beside
         the capacity screen, a raising analyzer rejects nothing, and with
-        both screens on it is called once per candidate."""
+        both screens on it is called once per cache-key class of the
+        candidates the lint screen passes (each candidate still counts as
+        uncertified)."""
         import repro.capacity
 
         layer = build("vgg16").layer("CONV2")
@@ -205,6 +209,14 @@ class TestUncertified:
         caps = {"max_l1_bytes": 256}
         plain = tune_layer(layer, accelerator, candidates=specs, cache=False, **caps)
         reached = len(specs) - plain.statically_rejected
+        lint = SCREENS[0]
+        context = ScreenContext(layer, True, None)
+        classes = {
+            cache_key(layer, flow, accelerator, DEFAULT_ENERGY_MODEL)
+            for flow in (spec.build() for spec in specs)
+            if not lint.rejects(lint.fact(flow, accelerator, context), accelerator, context)
+        }
+        assert len(classes) < reached
         calls = []
 
         def raising(*args, **kwargs):
@@ -222,7 +234,7 @@ class TestUncertified:
             assert screened.evaluated == plain.evaluated
             assert screened.rejected == plain.rejected
             assert screened.top == plain.top
-            assert len(calls) == reached > 0
+            assert len(calls) == len(classes) > 0
             for keyword, name in (("symbolic_prune", "symbolic"), ("capacity_prune", "capacity")):
                 expected = reached if keyword in screens else 0
                 assert obs.counter_value(f"screen.uncertified.{name}") == expected
