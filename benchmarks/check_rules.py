@@ -10,9 +10,11 @@ registered without holding up that contract — the failure mode this
 guards against is adding a new rule family and forgetting the docs.
 
 The screen registry (:data:`repro.screens.OPTIONS`) holds the same
-contract: every option off by default must have its ``dse`` and
-``tune`` flag with help text, and every option must have a row in the
-screens table of ``docs/observability.md``.
+contract: every option off by default must have its flag, with help
+text, on each of ``dse`` and ``tune`` whose scope gives it a statistics
+field (:meth:`repro.screens.Option.field`) and on no other, and every
+option must have a row in the screens table of
+``docs/observability.md``.
 
 Usage::
 
@@ -105,13 +107,19 @@ def check_screens(docs_path: Path) -> list:
             if defaults[option.keyword].default is not True:
                 failures.append(f"screen {option.name}: off by default but has no CLI flag")
             continue
-        for command in ("dse", "tune"):
+        for command, scope in (("dse", "dse"), ("tune", "tuner")):
             helps = {
                 flag: action.help
                 for action in commands[command]._actions
                 for flag in action.option_strings
             }
-            if option.flag not in helps:
+            if not option.field(scope):
+                if option.flag in helps:
+                    failures.append(
+                        f"screen {option.name}: '{command}' has {option.flag} "
+                        f"but no {scope} statistics field"
+                    )
+            elif option.flag not in helps:
                 failures.append(f"screen {option.name}: '{command}' has no {option.flag} flag")
             elif not (helps[option.flag] or "").strip():
                 failures.append(f"screen {option.name}: '{command} {option.flag}' has no help")

@@ -9,10 +9,10 @@ analytical framing motivates:
 - **shape-range certification** (``DF2xx`` lint rules, ``analyze
   --symbolic``): concrete hardware, interval shapes — one pass proves a
   buffer-fit or bandwidth property for an entire layer family;
-- **design-space pruning** (branch-and-bound in ``dse``/``tuner``):
-  concrete shape, interval hardware — interval bounds on runtime /
-  energy / buffer requirements discard whole grid regions before any
-  concrete cost-model call.
+- **point-box buffer certification** (``verify --check capacity``):
+  concrete shape, concrete hardware — the L1/L2 intervals collapse to
+  the exact requirements, the equality the tuner's ``symbolic_prune``
+  screen relies on when it reads the capacity analyzer's fact.
 
 Soundness contract (the property ``tests/test_absint.py`` fuzzes): for
 every concrete ``(layer, accelerator)`` drawn from the boxes on which

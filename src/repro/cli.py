@@ -27,8 +27,7 @@ Subcommands:
 - ``validate`` — compare the analytical model against the reference
   simulator on a layer;
 - ``dse`` — run a small hardware design-space exploration for a layer
-  (``--symbolic-prune`` turns on the sound interval branch-and-bound;
-  ``--comm-prune`` with ``--no-spatial-reduction`` skips mappings the
+  (``--comm-prune`` with ``--no-spatial-reduction`` skips mappings the
   communication classifier proves write-racy on that hardware);
 - ``tune`` — search the auto-tuner's template space for a layer
   (``--symbolic-prune`` screens buffer-cap violations with the exact
@@ -533,9 +532,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pruners(args: argparse.Namespace) -> Dict[str, bool]:
-    """The pruning keywords the ``dse``/``tune`` flags set."""
-    return {option.keyword: getattr(args, option.keyword) for option in OPTIONS if option.flag}
+def _pruners(args: argparse.Namespace, scope: str) -> Dict[str, bool]:
+    """The pruning keywords the ``scope`` (``"dse"`` or ``"tuner"``) flags set."""
+    return {
+        option.keyword: getattr(args, option.keyword)
+        for option in OPTIONS
+        if option.flag and option.field(scope)
+    }
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
@@ -571,7 +574,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         cache=args.cache,
         spatial_reduction=not args.no_spatial_reduction,
         noc_multicast=not args.no_multicast,
-        **_pruners(args),
+        **_pruners(args, "dse"),
     )
     stats = result.statistics
     print(
@@ -580,8 +583,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         f"{stats.coverage_rejects} coverage-refuted, "
         f"{stats.comm_rejects} comm-race pruned, "
         f"{stats.capacity_rejects} capacity pruned, "
-        f"{stats.symbolic_rejects} symbolically infeasible, "
-        f"{stats.bnb_pruned} branch-and-bound pruned, "
         f"{stats.equiv_replays} equivalence-replayed, "
         f"{stats.cost_model_calls} cost-model calls, "
         f"{stats.cache_hits} cache hits, executor={stats.executor}) in "
@@ -594,7 +595,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             evaluated=stats.evaluated,
             cost_model_calls=stats.cost_model_calls,
             cache_hits=stats.cache_hits,
-            pruned=enabled_rejects("dse", stats, _pruners(args)),
+            pruned=enabled_rejects("dse", stats, _pruners(args, "dse")),
             wall_seconds=stats.elapsed_seconds,
         )
     )
@@ -634,7 +635,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
-        **_pruners(args),
+        **_pruners(args, "tuner"),
     )
     rows = [
         [
@@ -669,7 +670,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             evaluated=result.evaluated,
             cost_model_calls=result.cost_model_calls,
             cache_hits=result.cache_hits,
-            pruned=enabled_rejects("tuner", result, _pruners(args)),
+            pruned=enabled_rejects("tuner", result, _pruners(args, "tuner")),
             wall_seconds=result.elapsed_seconds,
         )
     )
@@ -773,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bandwidth", type=int, default=32, help="NoC elems/cycle")
         p.add_argument("--latency", type=int, default=2, help="NoC average latency")
 
-    def add_pruners(p: argparse.ArgumentParser) -> None:
+    def add_pruners(p: argparse.ArgumentParser, scope: str) -> None:
         for option in OPTIONS:
-            if option.flag:
+            if option.flag and option.field(scope):
                 p.add_argument(
                     option.flag, dest=option.keyword, action="store_true", help=option.help
                 )
@@ -996,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--max-pes", type=int, default=512)
     p_dse.add_argument("--pe-step", type=int, default=8)
     add_comm_caps(p_dse)
-    add_pruners(p_dse)
+    add_pruners(p_dse, "dse")
     add_backend(p_dse)
     add_obs(p_dse)
     p_dse.set_defaults(func=_cmd_dse)
@@ -1022,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_hw(p_tune)
     add_comm_caps(p_tune)
-    add_pruners(p_tune)
+    add_pruners(p_tune, "tuner")
     add_backend(p_tune)
     add_obs(p_tune)
     p_tune.set_defaults(func=_cmd_tune)

@@ -40,8 +40,6 @@ from repro.util.pareto import pareto_front
 #: One grid point that reaches the cost model: (tile label, dataflow,
 #: the point's hardware).
 _Candidate = Tuple[str, Dataflow, Accelerator]
-#: A candidate with its enumeration index.
-_Indexed = Tuple[int, _Candidate]
 
 
 @dataclass(frozen=True)
@@ -54,19 +52,13 @@ class DSEStatistics:
     ``cost_model_calls`` counts the points that needed a cost-model
     answer — memoized (``cache_hits``) or freshly evaluated (including
     evaluations that were rejected by binding) — so the lint pruning win
-    stays measurable with the cache on. With ``symbolic_prune`` two more
-    buckets appear: ``symbolic_rejects`` (points in hardware regions the
-    abstract interpreter proved over-budget — they could never become
-    valid designs) and ``bnb_pruned`` (points in regions whose interval
-    bounds are dominated by the running incumbents on *all* objectives —
-    they could never become an optimum). With ``equiv_prune``,
+    stays measurable with the cache on. With ``equiv_prune``,
     ``equiv_replays`` counts grid points satisfied by replaying an
     equivalent candidate's outcome instead of a cost-model call. The
     sweep invariant checked by :func:`explore`::
 
         explored == space.size
-        cost_model_calls + pruned + symbolic_rejects + bnb_pruned
-            + equiv_replays == explored
+        cost_model_calls + pruned + equiv_replays == explored
         evaluated <= cost_model_calls  (failures are the difference)
     """
 
@@ -81,11 +73,11 @@ class DSEStatistics:
     cache_hits: int = 0
     executor: str = "serial"
     eval_wall_seconds: float = 0.0
-    #: Points inside hardware regions the symbolic branch-and-bound
-    #: proved infeasible (interval lower-bound area/power over budget).
+    #: Always 0: no code sets them. The dse-grid digest of
+    #: ``perfbench/inproc.py`` reads both with ``getattr``, so deleting
+    #: them would fail every dse-grid op; they go when the benchmark
+    #: drops them from its digest.
     symbolic_rejects: int = 0
-    #: Points inside hardware regions dominated by the incumbents on
-    #: every objective simultaneously (interval upper/lower bounds).
     bnb_pruned: int = 0
     #: Points the comm screen rejected (``comm_prune``).
     comm_rejects: int = 0
@@ -133,8 +125,6 @@ def explore(
     executor: str = "auto",
     jobs: Optional[int] = None,
     cache: Union[bool, AnalysisCache, None] = True,
-    symbolic_prune: bool = False,
-    symbolic_block: int = 8,
     spatial_reduction: bool = True,
     noc_multicast: bool = True,
     comm_prune: bool = False,
@@ -166,22 +156,6 @@ def explore(
     cost-model call, and the other members replay its outcome
     (``equiv_replays``), provably equal to what the cost model would
     have returned.
-
-    With ``symbolic_prune`` the surviving representatives go through a
-    sound branch-and-bound over the hardware grid: candidates are
-    grouped into regions of up to ``symbolic_block`` PE counts per
-    (variant, bandwidth), each region is abstract-interpreted once with
-    the PE count as an interval (:mod:`repro.absint`), and the region is
-    discarded without any cost-model call when either (a) its interval
-    *lower-bound* area/power already busts the budget
-    (``symbolic_rejects``) or (b) its interval bounds are beaten by the
-    running incumbents on throughput, energy, *and* EDP simultaneously
-    (``bnb_pruned``). Because the interval bounds enclose every concrete
-    outcome in the region (and dominance is strict), the three reported
-    optima are bit-identical to the exhaustive sweep; only the Pareto
-    set may lose dominated interior points. Regions the abstract engine
-    cannot certify are never pruned. A replay takes its
-    representative's fate.
 
     ``spatial_reduction`` and ``noc_multicast`` set the communication
     capabilities of every swept accelerator (the Table 5 switches).
@@ -273,11 +247,9 @@ def explore(
         )
 
     # ------------------------------------------------------------------
-    # Phase 2 — evaluate one representative per equivalence class
-    # through the batch backend, either exhaustively or region-by-region
-    # under the symbolic branch-and-bound, then replay the twins. Valid
-    # points are collected with their original enumeration index so the
-    # final fold order is identical either way.
+    # Phase 2 — evaluate one representative per equivalence class in one
+    # batch, then replay the twins. Valid points are collected with
+    # their enumeration index so phase 3 folds them in grid order.
     # ------------------------------------------------------------------
     replay_of: Dict[int, int] = {}
     if equiv_prune:
@@ -295,72 +267,30 @@ def explore(
         if index not in replay_of
     ]
     evaluator = BatchEvaluator(executor=executor, jobs=jobs, cache=cache)
-    indexed_points: List[Tuple[int, DesignPoint]] = []
-    outcome_at: Dict[int, EvalOutcome] = {}
-    fate: Dict[int, str] = {}  # skipped representative -> its statistics field
-    evaluated = calls_submitted = cache_hits = 0
-    executor_name = "serial"
-    eval_wall = 0.0
-    # The running incumbents the branch-and-bound tests regions against.
-    interim: Dict[str, Optional[DesignPoint]] = {"throughput": None, "energy": None, "edp": None}
-
-    def evaluate(indexed: List[_Indexed]) -> None:
-        nonlocal evaluated, calls_submitted, cache_hits, executor_name, eval_wall
+    with obs.span("dse.evaluate", candidates=len(representatives)):
         batch = evaluator.evaluate(
             EvalPoint(
                 layer=layer, dataflow=dataflow, accelerator=accelerator, energy_model=energy_model
             )
-            for _, (_, dataflow, accelerator) in indexed
+            for _, (_, dataflow, accelerator) in representatives
         )
-        calls_submitted += batch.stats.submitted
-        cache_hits += batch.stats.cache_hits
-        executor_name = batch.stats.executor
-        eval_wall += batch.stats.wall_seconds
-        with obs.span("dse.fold"):
-            for (index, candidate), outcome in zip(indexed, batch):
-                outcome_at[index] = outcome
-                if not outcome.ok:
-                    continue
+    indexed_points: List[Tuple[int, DesignPoint]] = []
+    outcome_at: Dict[int, EvalOutcome] = {}
+    evaluated = 0
+    with obs.span("dse.fold"):
+        for (index, candidate), outcome in zip(representatives, batch):
+            outcome_at[index] = outcome
+            if outcome.ok:
                 evaluated += 1
                 point = fold_point(candidate, outcome.report)
                 if point is not None:
                     indexed_points.append((index, point))
-                    _update_leaders(interim, point)
-
-    if not symbolic_prune:
-        with obs.span("dse.evaluate", candidates=len(representatives)):
-            evaluate(representatives)
-    else:
-        regions = _pe_regions(representatives, symbolic_block)
-        with obs.span("dse.bnb", regions=len(regions)):
-            for region in regions:
-                verdict = _region_bounds(
-                    layer,
-                    region,
-                    noc_latency,
-                    area_model,
-                    energy_model,
-                    area_budget,
-                    power_budget,
-                )
-                if verdict is _INFEASIBLE:
-                    fate.update((index, "symbolic_rejects") for index, _ in region)
-                elif verdict is not None and _dominated(verdict, interim):
-                    fate.update((index, "bnb_pruned") for index, _ in region)
-                else:
-                    evaluate(region)
-
-    skipped = {"symbolic_rejects": 0, "bnb_pruned": 0, "equiv_replays": 0}
-    with obs.span("dse.fold"):
         for index, representative in replay_of.items():
-            skipped[fate.get(representative, "equiv_replays")] += 1
-            outcome = outcome_at.get(representative)
-            if outcome is not None and outcome.ok:
+            outcome = outcome_at[representative]
+            if outcome.ok:
                 point = fold_point(candidates[index], outcome.report)
                 if point is not None:
                     indexed_points.append((index, point))
-    for field in fate.values():
-        skipped[field] += 1
 
     # ------------------------------------------------------------------
     # Phase 3 — fold the surviving valid points in their original
@@ -376,36 +306,36 @@ def explore(
 
     # The ExploreResult invariant, explicit: every grid point is
     # accounted for exactly once — budget-pruned, rejected by a screen,
-    # symbolically discarded, replayed, or answered by the cost model
-    # (evaluated successfully or failed).
+    # replayed, or answered by the cost model (evaluated successfully or
+    # failed).
     rejects = screens.finish()
-    failures = calls_submitted - evaluated
+    failures = batch.stats.submitted - evaluated
+    equiv_replays = len(replay_of)
     budget_pruned = pruned - sum(rejects.values())
     assert explored == space.size, (
         f"enumeration drift: walked {explored} of {space.size} grid points"
     )
-    assert evaluated + failures + pruned + sum(skipped.values()) == space.size, (
+    assert evaluated + failures + pruned + equiv_replays == space.size, (
         f"statistics drift: evaluated={evaluated} failures={failures} "
-        f"budget_pruned={budget_pruned} {rejects} {skipped} "
+        f"budget_pruned={budget_pruned} {rejects} equiv_replays={equiv_replays} "
         f"do not partition the {space.size}-point grid"
     )
 
     elapsed = time.perf_counter() - start
     obs.inc("dse.points_explored", explored)
     obs.inc("dse.mappings_evaluated", evaluated)
-    obs.inc("dse.pruned_by_symbolic", skipped["symbolic_rejects"] + skipped["bnb_pruned"])
     statistics = DSEStatistics(
         explored=explored,
         evaluated=evaluated,
         valid=len(points),
         pruned=pruned,
         elapsed_seconds=elapsed,
-        cost_model_calls=calls_submitted,
-        cache_hits=cache_hits,
-        executor=executor_name,
-        eval_wall_seconds=eval_wall,
+        cost_model_calls=batch.stats.submitted,
+        cache_hits=batch.stats.cache_hits,
+        executor=batch.stats.executor,
+        eval_wall_seconds=batch.stats.wall_seconds,
+        equiv_replays=equiv_replays,
         **rejects,
-        **skipped,
     )
     return DSEResult(
         points=tuple(points),
@@ -413,108 +343,6 @@ def explore(
         throughput_optimal=best["throughput"],
         energy_optimal=best["energy"],
         edp_optimal=best["edp"],
-    )
-
-
-#: Region verdict sentinel: every point in the region is over budget.
-_INFEASIBLE = object()
-
-
-def _pe_regions(candidates: List[_Indexed], block: int) -> List[List[_Indexed]]:
-    """Group indexed candidates into branch-and-bound regions.
-
-    A region holds up to ``block`` candidates that share a bandwidth and
-    a dataflow variant and differ only in PE count (the enumeration is
-    PE-major, so each region's PE counts are increasing). One abstract
-    interpretation with the PE count as an interval then bounds every
-    candidate in the region at once. Regions come back ordered by their
-    first candidate's enumeration index, so incumbents grow in a
-    deterministic order.
-    """
-    grouped: Dict[Tuple[int, str, int], List[List[_Indexed]]] = {}
-    for index, candidate in candidates:
-        label, dataflow, accelerator = candidate
-        key = (accelerator.noc.bandwidth, label, id(dataflow))
-        blocks = grouped.setdefault(key, [])
-        if not blocks or len(blocks[-1]) >= max(1, block):
-            blocks.append([])
-        blocks[-1].append((index, candidate))
-    regions = [region for blocks in grouped.values() for region in blocks]
-    regions.sort(key=lambda region: region[0][0])
-    return regions
-
-
-def _region_bounds(
-    layer: Layer,
-    region: List[_Indexed],
-    noc_latency: int,
-    area_model: AreaModel,
-    energy_model: EnergyModel,
-    area_budget: float,
-    power_budget: float,
-):
-    """Abstract-interpret one region; classify it or return its bounds.
-
-    Returns ``_INFEASIBLE`` when the interval lower-bound area/power of
-    the cheapest configuration in the region already busts the budget
-    (so no point inside can pass the phase-3 check), the region's
-    :class:`~repro.absint.engine.AbstractAnalysis` when bounds are
-    available for the dominance test, or ``None`` when the abstract
-    engine cannot certify the region (it is then evaluated in full —
-    soundness over speed).
-    """
-    from repro.absint.engine import HardwareBox, abstract_analyze
-    from repro.absint.interval import IntervalInt
-    from repro.absint.shapes import ShapeBox
-
-    pes = [accelerator.num_pes for _, (_, _, accelerator) in region]
-    _, dataflow, first = region[0][1]
-    bandwidth = first.noc.bandwidth
-    try:
-        analysis = abstract_analyze(
-            ShapeBox.from_layer(layer),
-            dataflow,
-            HardwareBox(
-                num_pes=IntervalInt(min(pes), max(pes)),
-                bandwidth=IntervalInt.point(bandwidth),
-                avg_latency=noc_latency,
-            ),
-            energy_model=energy_model,
-        )
-    except Exception:
-        return None
-    if analysis.caveats:
-        return None  # partial binding failures: bounds cover only a subfamily
-    cheapest = Accelerator(
-        num_pes=min(pes),
-        l1_size=max(analysis.l1_buffer_req.lo, 1),
-        l2_size=max(analysis.l2_buffer_req.lo, 1),
-        noc=NoC(bandwidth=bandwidth, avg_latency=noc_latency),
-    )
-    if (
-        area_model.area(cheapest) > area_budget
-        or area_model.power(cheapest) > power_budget
-    ):
-        return _INFEASIBLE
-    return analysis
-
-
-def _dominated(analysis, interim: dict) -> bool:
-    """Whether the incumbents beat the whole region on every objective.
-
-    Strict inequalities keep first-achiever tie-breaking intact: a
-    region containing a point that merely *ties* an incumbent is still
-    evaluated, so the final optima match the exhaustive sweep exactly.
-    """
-    best_tp = interim["throughput"]
-    best_en = interim["energy"]
-    best_edp = interim["edp"]
-    if best_tp is None or best_en is None or best_edp is None:
-        return False
-    return (
-        analysis.throughput.hi < best_tp.throughput
-        and analysis.energy_total.lo > best_en.energy
-        and analysis.edp.lo > best_edp.edp
     )
 
 

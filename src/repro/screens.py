@@ -5,9 +5,9 @@ before the cost model runs (Section 5.2). Every such screen lives in
 :data:`SCREENS`, in the order :func:`repro.dse.explore` and
 :func:`repro.tuner.tune_layer` apply it: lint, verify, comm, capacity,
 then symbolic (tuner only: it reads the capacity screen's exact
-requirements; the explorer's ``symbolic_prune`` is its interval
-branch-and-bound). A rejected candidate is credited to the first screen
-that rejects it.
+requirements). A rejected candidate is credited to the first screen
+that rejects it. A screen with no statistics field in a scope
+(:meth:`Option.field`) has no keyword or CLI flag there.
 
 Each :class:`Screen` computes one *fact* per mapping variant (per
 variant and PE count for the monotone buffer screens) and makes a cheap
@@ -250,11 +250,9 @@ SCREENS: Tuple[Screen, ...] = (
         name="symbolic",
         keyword="symbolic_prune",
         flag="--symbolic-prune",
-        help="soundly skip cost-model calls: on tune, candidates whose "
-        "exact L1/L2 requirements (repro.capacity) exceed the buffer "
-        "caps; on dse, hardware regions the symbolic abstract "
-        "interpreter's interval bounds prove dominated (optima are "
-        "bit-identical)",
+        help="soundly skip cost-model calls for candidates whose exact "
+        "L1/L2 requirements (repro.capacity) exceed the buffer caps "
+        "(optima are bit-identical)",
         dse_field=None,
         tuner_field="symbolic_rejected",
         fact=_capacity_fact,

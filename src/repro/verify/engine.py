@@ -445,17 +445,23 @@ def count_group_point(
     for axis in group:
         targets = _dim_targets(axis, cell)
         for dim, (low, high) in targets.items():
+            # The parent tile starts somewhere in [start_lo, start_hi]:
+            # an inner generator's offsets are relative to it.
+            start_lo = start_hi = 0
             for index, gen in enumerate(schedules[dim].gens):
                 key: _IterKey = (
                     ("joint", gen.joint)
                     if gen.joint is not None
                     else ("free", (dim, index))
                 )
-                # Chunk j can only matter if [j*offset, j*offset + size)
-                # intersects the target's absolute window [low, high].
-                j_low = max(0, _ceil_div_signed(low - gen.size + 1, gen.offset))
-                j_high = min(gen.chunks - 1, high // gen.offset)
+                # Chunk j can only matter if [s + j*offset, s + j*offset
+                # + size) intersects the target's absolute window
+                # [low, high] for some parent start s.
+                j_low = max(0, _ceil_div_signed(low - gen.size + 1 - start_hi, gen.offset))
+                j_high = min(gen.chunks - 1, (high - start_lo) // gen.offset)
                 narrow(key, range(j_low, j_high + 1))
+                start_lo += j_low * gen.offset
+                start_hi += j_high * gen.offset
 
     lists: List[List[int]] = []
     for key, count in iterators:

@@ -1,8 +1,8 @@
 """The symbolic abstract interpreter: interval domain algebra, point-box
 exactness against the concrete cost model, Hypothesis-driven interval
 soundness over random shape boxes, the DF2xx range-certificate lints,
-the differential cross-check, and the branch-and-bound DSE/tuner
-equivalence guarantees."""
+the differential cross-check, and the tuner's symbolic screen keeping
+the same winner."""
 
 import pytest
 from hypothesis import given, settings
@@ -527,136 +527,8 @@ def test_crosscheck_propagates_non_binding_errors(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Branch-and-bound DSE: bit-identical optima, fewer cost-model calls
+# The tuner's symbolic screen: same winner, fewer cost-model calls
 # ----------------------------------------------------------------------
-def test_dse_symbolic_prune_matches_exhaustive_optima():
-    """Figure-13 grid: the pruned sweep returns the same three optima
-    while skipping at least 30% of cost-model calls."""
-    from repro.dse.explorer import explore
-    from repro.dse.space import (
-        DesignSpace,
-        default_bandwidths,
-        kc_partitioned_variants,
-    )
-
-    space = DesignSpace(
-        pe_counts=list(range(8, 257, 8)),
-        noc_bandwidths=default_bandwidths(128),
-        dataflow_variants=kc_partitioned_variants(),
-    )
-    exhaustive = explore(
-        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False
-    )
-    pruned = explore(
-        LAYER,
-        space,
-        area_budget=16.0,
-        power_budget=450.0,
-        cache=False,
-        symbolic_prune=True,
-    )
-    assert pruned.throughput_optimal == exhaustive.throughput_optimal
-    assert pruned.energy_optimal == exhaustive.energy_optimal
-    assert pruned.edp_optimal == exhaustive.edp_optimal
-    assert pruned.statistics.explored == exhaustive.statistics.explored
-    skipped = (
-        pruned.statistics.symbolic_rejects + pruned.statistics.bnb_pruned
-    )
-    assert skipped >= 0.30 * exhaustive.statistics.cost_model_calls
-    assert (
-        pruned.statistics.cost_model_calls + skipped
-        == exhaustive.statistics.cost_model_calls
-    )
-    # Every valid pruned point also exists in the exhaustive sweep.
-    exhaustive_points = set(exhaustive.points)
-    assert all(point in exhaustive_points for point in pruned.points)
-
-
-def test_dse_symbolic_and_equiv_prune_match_exhaustive_optima():
-    """With both pruners the branch-and-bound regions hold equivalence
-    representatives only and each replayed twin takes its
-    representative's fate (evaluated, symbolically rejected, or
-    branch-and-bound pruned): the optima still match the exhaustive
-    sweep and the statistics still partition the grid."""
-    from repro.dse.explorer import explore
-    from repro.dse.space import (
-        DesignSpace,
-        default_bandwidths,
-        kc_partitioned_variants,
-    )
-    from repro.equiv import transpose_dataflow
-
-    variants = kc_partitioned_variants()
-    variants += [(f"{label}~T", transpose_dataflow(flow)) for label, flow in variants]
-    space = DesignSpace(
-        pe_counts=list(range(8, 129, 8)),
-        noc_bandwidths=default_bandwidths(128),
-        dataflow_variants=variants,
-    )
-    exhaustive = explore(
-        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False
-    )
-    pruned = explore(
-        LAYER,
-        space,
-        area_budget=16.0,
-        power_budget=450.0,
-        cache=False,
-        symbolic_prune=True,
-        equiv_prune=True,
-    )
-    assert pruned.throughput_optimal == exhaustive.throughput_optimal
-    assert pruned.energy_optimal == exhaustive.energy_optimal
-    assert pruned.edp_optimal == exhaustive.edp_optimal
-    quotiented = explore(
-        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False, equiv_prune=True
-    )
-    stats = pruned.statistics
-    # Some twins replayed an evaluated representative, others shared a
-    # skipped one's fate.
-    assert 0 < stats.equiv_replays < quotiented.statistics.equiv_replays
-    assert stats.symbolic_rejects + stats.bnb_pruned > 0
-    assert (
-        stats.cost_model_calls
-        + stats.pruned
-        + stats.symbolic_rejects
-        + stats.bnb_pruned
-        + stats.equiv_replays
-        == stats.explored
-        == space.size
-    )
-    assert set(pruned.points) <= set(exhaustive.points)
-
-
-def test_dse_symbolic_prune_infeasible_regions_keep_valid_set():
-    """A tiny budget makes whole regions infeasible; the valid set (not
-    just the optima) must survive identically, because infeasibility
-    pruning only drops points the budget check would reject anyway."""
-    from repro.dse.explorer import explore
-    from repro.dse.space import DesignSpace, kc_partitioned_variants
-
-    space = DesignSpace(
-        pe_counts=[16, 32, 64, 128, 256],
-        noc_bandwidths=[16, 32],
-        dataflow_variants=kc_partitioned_variants(
-            c_tiles=(8,), spatial_tiles=((1, 1),)
-        ),
-    )
-    exhaustive = explore(LAYER, space, area_budget=4.0, power_budget=120.0, cache=False)
-    pruned = explore(
-        LAYER,
-        space,
-        area_budget=4.0,
-        power_budget=120.0,
-        cache=False,
-        symbolic_prune=True,
-        symbolic_block=2,
-    )
-    assert pruned.throughput_optimal == exhaustive.throughput_optimal
-    assert pruned.energy_optimal == exhaustive.energy_optimal
-    assert pruned.edp_optimal == exhaustive.edp_optimal
-
-
 def test_tuner_symbolic_prune_same_winner_and_rejects():
     from repro.tuner.search import tune_layer
 

@@ -66,15 +66,14 @@ AXES = {"kc": kc_partitioned_variants, "enriched": enriched_variants}
 class Floor:
     """One pruner run against the plain sweep on the same hardware and budget.
 
-    ``same`` names what must be bit-identical to the plain sweep: the
-    valid points and all three optima (``"points"``), the optima only
-    (``"optima"``), or nothing (``None``). The share of the plain
-    sweep's cost-model calls the pruner avoids must lie within
+    With ``same``, the valid points and all three optima must be
+    bit-identical to the plain sweep's. The share of the plain sweep's
+    cost-model calls the pruner avoids must lie within
     ``[min_skip, max_skip]``.
     """
 
     prune: str  # the explore() keyword that turns the pruner on
-    same: str | None
+    same: bool
     min_skip: float = 0.0
     max_skip: float = 1.0
     axis: str = "kc"
@@ -84,12 +83,11 @@ class Floor:
 
 FLOORS = {
     # With a reduction tree the comm screen never runs.
-    "comm-capable": Floor("comm_prune", "points", max_skip=0.0),
-    "comm-reduction-free": Floor("comm_prune", None, min_skip=0.20, spatial_reduction=False),
-    "equiv": Floor("equiv_prune", "points", min_skip=0.25, axis="enriched"),
-    "capacity-area16": Floor("capacity_prune", "points"),
-    "capacity-area4": Floor("capacity_prune", "points", min_skip=0.20, area=4.0),
-    "absint": Floor("symbolic_prune", "optima", min_skip=0.30),
+    "comm-capable": Floor("comm_prune", True, max_skip=0.0),
+    "comm-reduction-free": Floor("comm_prune", False, min_skip=0.20, spatial_reduction=False),
+    "equiv": Floor("equiv_prune", True, min_skip=0.25, axis="enriched"),
+    "capacity-area16": Floor("capacity_prune", True),
+    "capacity-area4": Floor("capacity_prune", True, min_skip=0.20, area=4.0),
 }
 
 
@@ -123,9 +121,8 @@ def assert_floor(name: str, max_pes: int = 256) -> float:
     setting = (floor.axis, floor.area, floor.spatial_reduction, max_pes)
     plain = _plain(*setting)
     pruned = _sweep(*setting, **{floor.prune: True})
-    if floor.same == "points":
+    if floor.same:
         assert pruned.points == plain.points
-    if floor.same is not None:
         assert _optima(pruned) == _optima(plain)
     calls = plain.statistics.cost_model_calls
     skip = (calls - pruned.statistics.cost_model_calls) / calls

@@ -72,7 +72,9 @@ class TestRegistry:
         for caller, scope in ((explore, "dse"), (tune_layer, "tuner")):
             parameters = inspect.signature(caller).parameters
             for option in OPTIONS:
-                assert option.keyword in parameters
+                if not option.field(scope):
+                    assert option.keyword not in parameters
+                    continue
                 # Only the flagless static_lint is on by default.
                 assert parameters[option.keyword].default is (option.flag is None)
 
@@ -82,7 +84,6 @@ class TestRegistry:
         for option in OPTIONS:
             assert option.dse_field is None or option.dse_field in dse_fields
             assert option.tuner_field in tuner_fields
-        # The explorer's symbolic_prune is its branch-and-bound, not a screen.
         assert [s.name for s in SCREENS if s.dse_field is None] == ["symbolic"]
 
     def test_cli_flags_come_from_the_registry(self):
@@ -90,16 +91,25 @@ class TestRegistry:
         subparsers = next(
             action for action in parser._actions if action.dest == "command"
         ).choices
-        for command in ("dse", "tune"):
+        for command, scope in (("dse", "dse"), ("tune", "tuner")):
             flags = {
                 option: action
                 for action in subparsers[command]._actions
                 for option in action.option_strings
             }
             for option in OPTIONS:
-                if option.flag:
-                    assert flags[option.flag].dest == option.keyword
-                    assert flags[option.flag].help == option.help
+                if not option.flag:
+                    continue
+                if not option.field(scope):
+                    assert option.flag not in flags
+                    continue
+                assert flags[option.flag].dest == option.keyword
+                assert flags[option.flag].help == option.help
+        common = ["--model", "vgg16", "--layer", "CONV2", "--symbolic-prune"]
+        with pytest.raises(SystemExit) as rejected:
+            parser.parse_args(["dse", *common])
+        assert rejected.value.code == 2
+        assert parser.parse_args(["tune", *common]).symbolic_prune is True
 
     def test_serve_pruners_are_registry_keywords(self):
         assert set(DSE_PRUNERS) <= {option.keyword for option in OPTIONS}

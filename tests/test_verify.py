@@ -19,8 +19,10 @@ from repro.dataflow.library import (
 )
 from repro.dataflow.loopnest import Loop, loopnest_to_dataflow
 from repro.errors import DataflowError
-from repro.model.layer import conv2d, fc
+from repro.model.layer import conv2d, dwconv, fc
+from repro.model.zoo import build
 from repro.tensors import dims as D
+from repro.tuner.templates import enumerate_candidates
 from repro.verify import (
     REFERENCE_DIMS,
     RuleAudit,
@@ -155,6 +157,54 @@ class TestKnownLibraryGaps:
         counts = brute_force_counts(row_stationary_fig6(), layer)
         actual = reference_count_at(counts, result.counterexample.coordinate)
         assert actual == result.counterexample.count
+
+
+# ----------------------------------------------------------------------
+# The point query under nested generators
+# ----------------------------------------------------------------------
+class TestNestedPointQuery:
+    """An inner generator's chunk offsets are relative to its outer
+    chunk, so the point query must not narrow them against the target's
+    absolute window. The tuner's y4x4 tiles on stride-2 layers overlap
+    (a plane tile steps by ``y_tile`` input rows, not ``y_tile*St(Y)``),
+    and their double-counted cells sit past the first outer chunk."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "tuned-CXx32-activation-c1k1y4x4",
+            "tuned-CYx32-reduction-c1k1y4x4",
+            "tuned-KYx8-reduction-c1k1y4x4",
+        ],
+    )
+    def test_refutation_matches_brute_force(self, name):
+        layer = dwconv("strided-dw", c=2, y=19, x=19, r=3, s=3, stride=2)
+        flow = next(spec.build() for spec in enumerate_candidates() if spec.name == name)
+        result = verify_dataflow(flow, layer)
+        assert result.verdict is Verdict.REFUTED, result.render()
+        assert result.counterexample.kind == "double"
+        counts = brute_force_counts(flow, layer)
+        actual = reference_count_at(counts, result.counterexample.coordinate)
+        assert actual == result.counterexample.count == 2
+
+    def test_tuner_grid_on_strided_depthwise_layer(self):
+        """Every one of the 1,344 candidates on BN2_1_dw verifies, and
+        every y4 tile on this stride-2 layer is refuted, including the
+        288 with an X or Y cluster, whose doubled cells lie past the
+        first outer chunk."""
+        layer = build("mobilenet_v2").layer("BN2_1_dw")
+        specs = list(enumerate_candidates())
+        verdicts = {spec.name: verify_dataflow(spec.build(), layer).verdict for spec in specs}
+        assert len(verdicts) == 1344
+        refuted = {name for name, verdict in verdicts.items() if verdict is Verdict.REFUTED}
+        assert refuted == {spec.name for spec in specs if spec.y_tile == 4}
+        nested = {
+            spec.name
+            for spec in specs
+            if spec.y_tile == 4 and spec.inner_spatial in (D.X, D.Y)
+        }
+        assert len(nested) == 288
+        assert set(verdicts.values()) == {Verdict.PROVEN, Verdict.REFUTED}
 
 
 # ----------------------------------------------------------------------
