@@ -77,11 +77,6 @@ class ShapeBox:
                 )
         object.__setattr__(self, "dims", dict(ranges))
 
-    def __hash__(self) -> int:
-        # dims and densities are dicts; equality stays the dataclass's.
-        items = (tuple(sorted(self.dims.items())), tuple(sorted(self.densities.items())))
-        return hash((self.name, self.operator, self.stride, self.dilation, self.groups, items))
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -6,8 +6,8 @@ sizes, single-chunk temporal elision, spatial slot sorting — each a
 theorem about the binding/reuse engines), :mod:`~repro.equiv.symmetry`
 detects the layer's row/column transposition symmetry and decides when
 quotienting by it is bit-exact, :mod:`~repro.equiv.dominance` issues
-static no-worse-than certificates over hardware boxes via the interval
-abstract interpreter, and ``verify --check equiv``
+no-worse-than certificates on one layer and accelerator from the cost
+model's runtime, energy and EDP, and ``verify --check equiv``
 (:mod:`repro.verify.differential`) re-proves the exactness claims over
 the shipped corpus. The canonical
 key is the exec cache's content address, and DSE/tune use the quotient

@@ -45,13 +45,13 @@ from repro.tensors import dims as D
 from repro.util.intmath import num_chunks, prod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.absint import AbstractAnalysis, HardwareBox, ShapeBox
     from repro.capacity.bounds import CapacityBounds
     from repro.capacity.roofline import RooflineCertificate
     from repro.dataflow.dataflow import Dataflow
     from repro.engines.binding import BoundDataflow
     from repro.engines.tensor_analysis import TensorAnalysis
     from repro.equiv.canonical import CanonicalForm, Key
+    from repro.equiv.dominance import Objectives
     from repro.hardware.accelerator import Accelerator
     from repro.model.layer import Layer
     from repro.verify.result import VerifyResult
@@ -103,6 +103,8 @@ class RuleContext:
     #: Code of the rule being run; :meth:`diag` emits only this code.
     running: Optional[str] = None
 
+    _flow: object = field(default=None, repr=False)
+    _flow_tried: bool = field(default=False, repr=False)
     _bound: object = field(default=None, repr=False)
     _bound_tried: bool = field(default=False, repr=False)
     _tensors: object = field(default=None, repr=False)
@@ -189,6 +191,24 @@ class RuleContext:
         return None
 
     @property
+    def flow(self) -> "Optional[Dataflow]":
+        """The mapping under lint as a ``Dataflow`` (the one linted, else
+        built once from the directives), or ``None`` when it cannot be
+        constructed."""
+        if self._flow_tried:
+            return self._flow  # type: ignore[return-value]
+        self._flow_tried = True
+        self._flow = self.dataflow
+        if self._flow is None:
+            try:
+                from repro.dataflow.dataflow import Dataflow
+
+                self._flow = Dataflow(name=self.name, directives=tuple(self.directives))
+            except Exception:
+                self._flow = None
+        return self._flow  # type: ignore[return-value]
+
+    @property
     def bound(self) -> "Optional[BoundDataflow]":
         """The mapping bound to layer + accelerator, or ``None``."""
         if self._bound_tried:
@@ -196,14 +216,9 @@ class RuleContext:
         self._bound_tried = True
         if self.layer is None or self.accelerator is None:
             return None
-        flow = self.dataflow
+        flow = self.flow
         if flow is None:
-            try:
-                from repro.dataflow.dataflow import Dataflow
-
-                flow = Dataflow(name=self.name, directives=tuple(self.directives))
-            except Exception:
-                return None
+            return None
         try:
             from repro.engines.binding import bind_dataflow
 
@@ -244,14 +259,9 @@ class RuleContext:
         self._coverage_tried = True
         if self.layer is None:
             return None
-        flow = self.dataflow
+        flow = self.flow
         if flow is None:
-            try:
-                from repro.dataflow.dataflow import Dataflow
-
-                flow = Dataflow(name=self.name, directives=tuple(self.directives))
-            except Exception:
-                return None
+            return None
         try:
             from repro.verify import verify_dataflow
 
@@ -1325,27 +1335,16 @@ def _check_forwarding_chain(ctx: RuleContext) -> Iterator[Diagnostic]:
 # These rules read the canonical-form analyzer: exact findings (inert
 # directives, commuting spatial slots) carry the equivalence provenance
 # and exact fix-its; DF402 compares symmetry orbits against the library
-# catalog; DF403 reports interval-certified dominance by a library
-# mapping. None are construction or binding-equivalent rules — they
-# never run on the engines' hot paths.
+# catalog; DF403 reports dominance by a library mapping on the cost
+# model's own runtime, energy and EDP for this layer and accelerator.
+# None are construction or binding-equivalent rules — they never run on
+# the engines' hot paths.
 # ======================================================================
-def _equiv_dataflow(ctx: RuleContext) -> "Optional[Dataflow]":
-    """The mapping under lint as a ``Dataflow``, or ``None``."""
-    if ctx.dataflow is not None:
-        return ctx.dataflow  # type: ignore[return-value]
-    try:
-        from repro.dataflow.dataflow import Dataflow
-
-        return Dataflow(name=ctx.name, directives=tuple(ctx.directives))
-    except Exception:
-        return None
-
-
 @shared_fact
 def _canonical_form(ctx: RuleContext) -> "Optional[Tuple[Dataflow, CanonicalForm]]":
     """The mapping under lint and its canonical form on the layer, or
     ``None``; DF400-DF403 share one canonicalization per lint."""
-    flow = _equiv_dataflow(ctx)
+    flow = ctx.flow
     if flow is None or ctx.layer is None:
         return None
     from repro.equiv.canonical import canonicalize
@@ -1444,18 +1443,16 @@ def _check_symmetric_twin(ctx: RuleContext) -> Iterator[Diagnostic]:
     own = _canonical_form(ctx)
     if own is None or own[1].fallback or ctx.layer is None:
         return
-    from repro.absint import ShapeBox
     from repro.equiv.canonical import EQUIV_PROVENANCE
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     symmetries = layer_symmetries(ctx.layer)
     if not symmetries:
         return
-    box = ShapeBox.from_layer(ctx.layer)
     own_key = own[1].key
     own_orbit = orbit_key(own_key, symmetries)
     for name, lib_flow in _stock_library(include_playground=True):
-        lib_key = _library_key(name, box)
+        lib_key = _library_key(name, ctx.layer)
         if lib_key == own_key:
             continue  # identical schedule, not a twin
         if orbit_key(lib_key, symmetries) == own_orbit:
@@ -1481,40 +1478,36 @@ def _stock_library(include_playground: bool) -> "Tuple[Tuple[str, Dataflow], ...
 
 
 @functools.lru_cache(maxsize=8192)
-def _library_key(name: str, box: "ShapeBox") -> "Key":
-    """The canonical key of stock mapping ``name`` on the layer of point
-    box ``box``.
+def _library_key(name: str, layer: "Layer") -> "Key":
+    """The canonical key of stock mapping ``name`` on ``layer``.
 
-    Canonicalization reads only the layer's extents and strides, which
-    the point box ``ShapeBox.from_layer(layer)`` fixes, so the box's
-    representative layer canonicalizes exactly as the layer does. Every
-    DF402 and DF403 check compares against the same library, so each
-    (mapping, layer shape) is canonicalized once; one zoo x library pass
+    Every DF402 and DF403 check compares against the same library, so
+    each (mapping, layer) is canonicalized once; one zoo x library pass
     is ~4,400 small tuples.
     """
     from repro.equiv.canonical import canonicalize
 
     flow = dict(_stock_library(include_playground=True))[name]
-    return canonicalize(flow, box.representative_layer()).key
+    return canonicalize(flow, layer).key
 
 
-@functools.lru_cache(maxsize=4096)
-def _library_analysis(
-    name: str, box: "ShapeBox", hw: "HardwareBox"
-) -> "Optional[AbstractAnalysis]":
-    """The abstract analysis of library mapping ``name``, or ``None`` when
-    it cannot be analyzed.
+@functools.lru_cache(maxsize=8192)
+def _library_objectives(
+    name: str, layer: "Layer", accelerator: "Accelerator"
+) -> "Optional[Objectives]":
+    """The cost model's objectives of library mapping ``name`` on
+    ``layer`` and ``accelerator``, or ``None`` when it cannot be analyzed.
 
     Every DF403 check compares against the same library, so each
-    (mapping, shape box, hardware box) is analyzed once and kept in a
-    bounded LRU. The bound holds one zoo x library pass at one
-    accelerator (~2,500 entries of ~11 KB each) and caps the memo near
-    45 MB. Callers only read the shared analyses.
+    (mapping, layer, accelerator) is analyzed once; an entry is three
+    floats.
     """
-    from repro.absint import abstract_analyze
+    from repro.engines.analysis import analyze_layer
+    from repro.equiv.dominance import objectives
 
+    flow = dict(_stock_library(include_playground=False))[name]
     try:
-        return abstract_analyze(box, dict(_stock_library(include_playground=False))[name], hw)
+        return objectives(analyze_layer(layer, flow, accelerator))
     except (DataflowError, ValueError):
         return None
 
@@ -1526,42 +1519,39 @@ def _library_analysis(
     requires=("layer", "accelerator"),
 )
 def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
-    """A library mapping's *pessimistic* interval bound beats this
-    mapping's *optimistic* bound on runtime, energy, and EDP (strictly
-    on at least one): for this layer and accelerator the library mapping
-    is provably no worse everywhere. Soundness is inherited from the
-    interval abstract interpreter's over-approximation; mappings in the
+    """A library mapping has a runtime, energy, and EDP no higher than
+    this mapping's (strictly lower on at least one), as the cost model
+    computes them for this layer and accelerator: swapping in the
+    library mapping loses nothing. The compared numbers are the ones
+    ``maestro-repro analyze`` reports for each mapping. Mappings in the
     same equivalence orbit are skipped (a schedule cannot dominate
     itself).
     """
     own_form = _canonical_form(ctx)
     if own_form is None or ctx.layer is None or ctx.accelerator is None:
         return
-    from repro.absint import HardwareBox, ShapeBox, abstract_analyze
-    from repro.equiv.dominance import DOMINANCE_PROVENANCE, certify_dominance
+    from repro.engines.analysis import analyze_layer
+    from repro.equiv.dominance import DOMINANCE_PROVENANCE, certify_dominance, objectives
     from repro.equiv.symmetry import layer_symmetries, orbit_key
 
     flow = own_form[0]
-    hw = HardwareBox.from_accelerator(ctx.accelerator)
-    box = ShapeBox.from_layer(ctx.layer)
     symmetries = layer_symmetries(ctx.layer)
     own_orbit = orbit_key(own_form[1].key, symmetries)
     # One analysis of this mapping serves every comparison; each library
-    # mapping's analysis comes from the memo.
+    # mapping's objectives come from the memo.
     try:
-        own = abstract_analyze(box, flow, hw)
+        own = objectives(analyze_layer(ctx.layer, flow, ctx.accelerator))
     except (DataflowError, ValueError):
         return
-    if own.caveats:
-        return  # caveated bounds certify nothing (repro.equiv.dominance)
     for name, lib_flow in _stock_library(include_playground=False):
-        lib_orbit = orbit_key(_library_key(name, box), symmetries)
-        if lib_orbit == own_orbit:
+        if orbit_key(_library_key(name, ctx.layer), symmetries) == own_orbit:
             continue
-        lib = _library_analysis(name, box, hw)
+        lib = _library_objectives(name, ctx.layer, ctx.accelerator)
         if lib is None:
             continue
-        certificate = certify_dominance(lib_flow, lib, flow, own, hw)
+        certificate = certify_dominance(
+            lib_flow.name, lib, flow.name, own, ctx.accelerator
+        )
         if certificate is None:
             continue
         yield ctx.diag(
@@ -1591,7 +1581,7 @@ def _capacity_certificates(
     ctx: RuleContext,
 ) -> "Optional[Tuple[CapacityBounds, RooflineCertificate]]":
     """The (bounds, roofline) pair for this mapping, or ``None``."""
-    flow = _equiv_dataflow(ctx)
+    flow = ctx.flow
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return None
     try:

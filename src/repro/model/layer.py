@@ -102,6 +102,12 @@ class Layer:
                     f"kernel extent {k_ext} along {k_dim}"
                 )
 
+    def __hash__(self) -> int:
+        # dims and densities are mapping proxies; equality stays the
+        # dataclass's.
+        items = (tuple(sorted(self.dims.items())), tuple(sorted(self.densities.items())))
+        return hash((self.name, self.operator, self.stride, self.dilation, self.groups, items))
+
     def __reduce__(self):
         # The normalized dims/densities live in MappingProxyType views,
         # which cannot be pickled; rebuild through __init__ (re-running

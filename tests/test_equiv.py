@@ -16,6 +16,7 @@ from repro.dataflow.directives import ClusterDirective, MapDirective
 from repro.dataflow.library import kc_partitioned, stock_dataflows
 from repro.dse import explore
 from repro.dse.space import DesignSpace, kc_partitioned_variants
+from repro.engines.analysis import analyze_layer
 from repro.equiv import (
     canonical_dataflow,
     canonical_key,
@@ -26,7 +27,6 @@ from repro.equiv import (
     orbit_key,
     transpose_dataflow,
 )
-from repro.absint import HardwareBox
 from repro.exec import dataflow_cache_payload
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.lint import lint_dataflow
@@ -144,7 +144,7 @@ class TestSymmetry:
 
 
 class TestDominance:
-    HW = HardwareBox.from_accelerator(Accelerator(num_pes=256))
+    HW = Accelerator(num_pes=256)
 
     def test_library_flow_dominates_sequential(self):
         layer = build("vgg16").layer("CONV3")
@@ -153,8 +153,8 @@ class TestDominance:
         assert certificate is not None
         assert certificate.dominator == "KC-P"
         assert "dominates sequential-K" in certificate.describe()
-        for _, worst, best in certificate.bounds:
-            assert worst <= best
+        for _, a, b in certificate.bounds:
+            assert a <= b
 
     def test_no_self_dominance(self):
         layer = build("vgg16").layer("CONV3")
@@ -162,6 +162,26 @@ class TestDominance:
             dominance_certificate(SEQUENTIAL_K, SEQUENTIAL_K, layer, self.HW)
             is None
         )
+
+    def test_bounds_are_the_cost_models_values(self):
+        # The interval interpreter put this pair's energy a few ulps
+        # below analyze_layer's; the certificate quotes the cost model.
+        layer = build("unet").layer("UPCONV3")
+        flows = stock_dataflows(include_playground=False)
+        dominator, dominated = flows["KC-P"], flows["C-P"]
+        certificate = dominance_certificate(dominator, dominated, layer, self.HW)
+        assert certificate is not None
+        a = analyze_layer(layer, dominator, self.HW)
+        b = analyze_layer(layer, dominated, self.HW)
+        assert [name for name, _, _ in certificate.bounds] == [
+            "runtime",
+            "energy_total",
+            "edp",
+        ]
+        for name, a_value, b_value in certificate.bounds:
+            assert a_value == getattr(a, name)
+            assert b_value == getattr(b, name)
+        assert "256 PEs, bw 32" in certificate.describe()
 
 
 class TestLints:

@@ -190,7 +190,7 @@ def _codes(report, prefix):
 
 
 def test_df403_analyzes_the_linted_mapping_once_per_lint(monkeypatch):
-    calls = _count_calls(monkeypatch, "repro.absint", "abstract_analyze")
+    calls = _count_calls(monkeypatch, "repro.engines.analysis", "analyze_layer")
     layer = build("resnet50").layer("CONV2_1b")
     library = len(stock_dataflows(include_playground=False))
     for name, flow in _mappings().items():
@@ -208,7 +208,7 @@ def test_df403_reuses_library_analyses_across_lints(monkeypatch):
     flow, layer = stock_dataflows()["KC-P"], build("unet").layer("DOWN3_1")
     accelerator = Accelerator(num_pes=128)
     first = lint_dataflow(flow, layer, accelerator)
-    calls = _count_calls(monkeypatch, "repro.absint", "abstract_analyze")
+    calls = _count_calls(monkeypatch, "repro.engines.analysis", "analyze_layer")
     second = lint_dataflow(flow, layer, accelerator)
     assert [args[1] for args in calls] == [flow]
     assert second.to_json() == first.to_json()
