@@ -13,7 +13,7 @@ and Table 3's YR-P).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Set, Tuple, Type
 
 from repro.dataflow.directives import (
     ClusterDirective,
@@ -38,6 +38,25 @@ class LevelSpec:
     cluster_size: "SizeLike | None"
 
 
+#: A directive list's *shape*: each directive's type and, for a map, its
+#: dimension.
+_Shape = Tuple[Tuple[Type[object], Optional[str]], ...]
+
+#: Shapes that passed the construction lints. DF001-DF004 read nothing
+#: but the shape (no size, offset or name), so every directive list of a
+#: clean shape is clean: the tiles of one tuner template share one lint
+#: run. Bounded: cleared when full.
+_CLEAN_SHAPES: Set[_Shape] = set()
+_CLEAN_SHAPES_MAX = 4096
+
+
+def _shape(directives: Tuple[Directive, ...]) -> _Shape:
+    """The shape the construction lints read (see :data:`_CLEAN_SHAPES`)."""
+    return tuple(
+        (type(d), d.dim if isinstance(d, MapDirective) else None) for d in directives
+    )
+
+
 @dataclass(frozen=True)
 class Dataflow:
     """A named, ordered list of mapping directives."""
@@ -47,15 +66,21 @@ class Dataflow:
 
     def __post_init__(self) -> None:
         # Structural validation is delegated to the static mapping
-        # analyzer's construction rules (DF001-DF004); the raised error
-        # keeps the legacy message of the first finding and carries the
-        # full diagnostic list.
+        # analyzer's construction rules (DF001-DF004), once per shape;
+        # the raised error keeps the legacy message of the first finding
+        # and carries the full diagnostic list.
+        shape = _shape(self.directives)
+        if shape in _CLEAN_SHAPES:
+            return
         from repro.lint.engine import construction_diagnostics
 
         diagnostics = construction_diagnostics(self.name, self.directives)
         errors = [d for d in diagnostics if d.is_error]
         if errors:
             raise DataflowError(errors[0].message, diagnostics=diagnostics)
+        if len(_CLEAN_SHAPES) >= _CLEAN_SHAPES_MAX:
+            _CLEAN_SHAPES.clear()
+        _CLEAN_SHAPES.add(shape)
 
     def levels(self) -> List[LevelSpec]:
         """Split the directive list into cluster levels."""

@@ -37,7 +37,12 @@ Anything the walk cannot prove safe — unevaluable expressions,
 conditions under which :func:`~repro.engines.binding.bind_dataflow`
 would raise, a canonical spelling that fails construction lints — falls
 back to the *identity* form, keyed on the raw directive spelling, so
-canonicalization never groups mappings it cannot certify.
+canonicalization never groups mappings it cannot certify. The walk
+never builds a ``Dataflow`` for the canonical spelling: that spelling
+holds only map and ``Cluster`` directives and one coordinate system per
+axis, so of the construction lints (DF001-DF004) only DF001 (every
+directive elided) and DF003 (the list ends with a ``Cluster``) can
+reject it, and both fire exactly when the last level keeps no map.
 
 The canonical :attr:`CanonicalForm.key` is accelerator-independent
 (chunk counts never depend on the PE count; only fold counts do, and
@@ -47,6 +52,7 @@ once per layer and reuse the grouping across the whole hardware grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -60,7 +66,7 @@ from repro.dataflow.directives import (
 from repro.errors import DataflowError
 from repro.model.layer import Layer
 from repro.tensors import dims as D
-from repro.util.intmath import num_chunks
+from repro.util.intmath import num_chunks, prod
 
 #: A hashable, JSON-representable structural key. Canonical keys are
 #: ``("canon", <levels...>)`` with one
@@ -99,13 +105,38 @@ class CanonicalForm:
     """The canonical form of one ``(dataflow, layer)`` pair."""
 
     name: str
-    directives: Tuple[Directive, ...]
     levels: Tuple[CanonicalLevel, ...]
     elided: Tuple[int, ...]  # original directive indices removed
     #: spatial maps whose slot content changed: (original index, new
     #: ``(kind, dim, size, offset)`` occupying that slot)
     slot_changes: Tuple[Tuple[int, Tuple[str, str, int, int]], ...]
     fallback: bool
+    #: The raw directive list of a fallback form (empty otherwise).
+    spelling: Tuple[Directive, ...] = ()
+
+    @functools.cached_property
+    def directives(self) -> Tuple[Directive, ...]:
+        """The canonical spelling (the raw one for a fallback form),
+        built on first read."""
+        if self.fallback:
+            return self.spelling
+        directives: List[Directive] = []
+        for level in self.levels:
+            directives.extend(
+                MapDirective(dim=dim, size=size, offset=offset, spatial=kind == "S")
+                for kind, dim, size, offset in level.maps
+            )
+            if level.cluster_size is not None:
+                directives.append(ClusterDirective(level.cluster_size))
+        return tuple(directives)
+
+    @property
+    def cluster_pes(self) -> int:
+        """PEs the cluster hierarchy needs: the product of its evaluated
+        cluster sizes, as binding computes it (a non-fallback form only)."""
+        return prod(
+            [level.cluster_size for level in self.levels if level.cluster_size is not None]
+        )
 
     @property
     def reordered(self) -> Tuple[int, ...]:
@@ -131,11 +162,11 @@ def _map_kind(spatial: bool) -> str:
 def _fallback(dataflow: Dataflow) -> CanonicalForm:
     return CanonicalForm(
         name=dataflow.name,
-        directives=tuple(dataflow.directives),
         levels=(),
         elided=(),
         slot_changes=(),
         fallback=True,
+        spelling=tuple(dataflow.directives),
     )
 
 
@@ -172,28 +203,49 @@ def canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
         return _fallback(dataflow)
 
 
+#: At most this many memoized sizes per layer; the memo is cleared when full.
+_MAX_VALUES = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _layer_values(layer: Layer) -> Tuple[Dict[str, int], Dict[str, int], Dict[object, int]]:
+    """``layer``'s extents and strides, and a memo of the symbolic map
+    sizes and offsets already evaluated against them."""
+    return layer.all_dim_sizes(), {D.Y: layer.stride[0], D.X: layer.stride[1]}, {}
+
+
+def _map_value(
+    size: object, full_sizes: Dict[str, int], strides: Dict[str, int], values: Dict[object, int]
+) -> int:
+    """A map size or offset evaluated as binding does, once per (layer, size)."""
+    if type(size) is int:
+        return size
+    value = values.get(size)
+    if value is None:
+        value = evaluate_size(size, full_sizes, strides)  # type: ignore[arg-type]
+        if len(values) >= _MAX_VALUES:
+            values.clear()
+        values[size] = value
+    return value
+
+
 def _canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
-    row_rep = "output" if dataflow.uses_output_coordinates("row") else "input"
-    col_rep = "output" if dataflow.uses_output_coordinates("col") else "input"
-    dims = [D.N, D.K, D.C]
-    dims.append(D.YP if row_rep == "output" else D.Y)
-    dims.append(D.XP if col_rep == "output" else D.X)
-    dims.extend([D.R, D.S])
-
-    full_sizes = layer.all_dim_sizes()
-    strides = {D.Y: layer.stride[0], D.X: layer.stride[1]}
-    indexed_levels = _split_with_indices(tuple(dataflow.directives))
-
     # Representation-selecting directives must survive elision: count
     # how many map directives name Y'/X' so the guard can keep the last.
     rep_counts: Dict[str, int] = {D.YP: 0, D.XP: 0}
     for directive in dataflow.directives:
         if isinstance(directive, MapDirective) and directive.dim in rep_counts:
             rep_counts[directive.dim] += 1
+    dims = [D.N, D.K, D.C]
+    dims.append(D.YP if rep_counts[D.YP] else D.Y)
+    dims.append(D.XP if rep_counts[D.XP] else D.X)
+    dims.extend([D.R, D.S])
+
+    full_sizes, strides, values = _layer_values(layer)
+    indexed_levels = _split_with_indices(tuple(dataflow.directives))
 
     local_sizes: Dict[str, int] = {dim: full_sizes[dim] for dim in dims}
     canonical_levels: List[CanonicalLevel] = []
-    out_directives: List[Directive] = []
     elided: List[int] = []
     slot_changes: List[Tuple[int, Tuple[str, str, int, int]]] = []
 
@@ -207,8 +259,8 @@ def _canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
                 return _fallback(dataflow)  # binding raises for this spelling
             seen.add(directive.dim)
             local = local_sizes.get(directive.dim, 1)
-            size = min(evaluate_size(directive.size, full_sizes, strides), local)
-            offset = evaluate_size(directive.offset, full_sizes, strides)
+            size = min(_map_value(directive.size, full_sizes, strides, values), local)
+            offset = _map_value(directive.offset, full_sizes, strides, values)
             if size < 1 or offset < 1:
                 return _fallback(dataflow)  # binding raises for this spelling
             next_local[directive.dim] = size
@@ -252,12 +304,6 @@ def _canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
                 spatial_chunk_counts=tuple(spatial_counts),
             )
         )
-        for _, dim, spatial, size, offset in kept:
-            out_directives.append(
-                MapDirective(dim=dim, size=size, offset=offset, spatial=spatial)
-            )
-        if cluster_size is not None:
-            out_directives.append(ClusterDirective(cluster_size))
 
         # Mirror BoundLevel.chunk_sizes(): mapped dims carry their
         # clamped size, unmapped (and elided) dims their local extent.
@@ -266,23 +312,18 @@ def _canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
                 next_local[dim] = local_sizes.get(dim, 1)
         local_sizes = next_local
 
-    form = CanonicalForm(
+    # The canonical spelling must itself be constructible to serve as a
+    # shared representative. Only DF001 and DF003 can reject it (see the
+    # module docstring), exactly when its last level kept no map.
+    if not canonical_levels[-1].maps:
+        return _fallback(dataflow)
+    return CanonicalForm(
         name=dataflow.name,
-        directives=tuple(out_directives),
         levels=tuple(canonical_levels),
         elided=tuple(elided),
         slot_changes=tuple(slot_changes),
         fallback=False,
     )
-    if form.changed:
-        # The canonical spelling must itself be constructible (the
-        # construction lints run in Dataflow.__post_init__); a spelling
-        # they reject cannot serve as a shared representative.
-        try:
-            Dataflow(name=dataflow.name, directives=form.directives)
-        except DataflowError:
-            return _fallback(dataflow)
-    return form
 
 
 def canonical_key(dataflow: Dataflow, layer: Layer) -> Key:

@@ -222,7 +222,6 @@ class _DataflowKeying:
         self, dataflow: Dataflow, layer: Layer, symmetries: Tuple["DimSymmetry", ...]
     ) -> None:
         from repro.equiv.canonical import canonicalize
-        from repro.util.intmath import prod
 
         self.name = dataflow.name
         self.form = canonicalize(dataflow, layer)
@@ -234,9 +233,6 @@ class _DataflowKeying:
                 "directives": canonical_directives(dataflow, layer),
             }
         self.symmetries = () if self.form.fallback else symmetries
-        self.cluster_pes = prod(
-            [level.cluster_size for level in self.form.levels if level.cluster_size is not None]
-        )
         self._orbit_key: Optional["Key"] = None
 
     def class_key(self, num_pes: int) -> "Key":
@@ -260,7 +256,7 @@ class _DataflowKeying:
         if self.fallback is not None:
             return self.fallback
         payload: Dict[str, Any] = {"key": self.class_key(num_pes)}
-        if self.cluster_pes > num_pes:
+        if self.form.cluster_pes > num_pes:
             payload["name"] = self.name  # binding rejects; message names the mapping
         return payload
 

@@ -134,11 +134,11 @@ class RuleContext:
             if isinstance(d, ClusterDirective)
         ]
 
-    @property
+    @functools.cached_property
     def dim_sizes(self) -> Optional[Dict[str, int]]:
         return self.layer.all_dim_sizes() if self.layer is not None else None
 
-    @property
+    @functools.cached_property
     def strides(self) -> Dict[str, int]:
         if self.layer is None:
             return {}

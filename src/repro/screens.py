@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
@@ -59,6 +59,9 @@ from repro.errors import DataflowError
 from repro.exec.cache import BatchKeyer
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import Layer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.equiv.canonical import CanonicalForm
 
 _LOG = logging.getLogger(__name__)
 
@@ -78,6 +81,9 @@ class ScreenContext:
     reduction_support: bool
     #: The caller's buffer filter, or ``None`` when it checks no buffers.
     over_budget: Optional[BufferFilter]
+    #: A keyer that has already canonicalized the run's mappings on
+    #: ``layer`` (the tuner's); the lint screen then reads its forms.
+    keyer: Optional[BatchKeyer] = None
 
 
 @dataclass(frozen=True)
@@ -120,17 +126,41 @@ class Screen(Option):
     monotone: bool = False
 
 
-def _lint_fact(
-    dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext
+def lint_fact(
+    dataflow: Dataflow, layer: Layer, form: "Optional[CanonicalForm]" = None
 ) -> Optional[int]:
-    """PEs the mapping needs, or ``None`` when it can never bind on the layer."""
+    """PEs the mapping needs, or ``None`` when it can never bind on ``layer``.
+
+    ``None`` when a cluster size cannot be evaluated or is below 1, or a
+    binding-equivalent rule that needs no hardware (DF005, DF011, DF012)
+    fires; otherwise :func:`~repro.lint.engine.required_pes`. ``form``,
+    the mapping's canonical form on ``layer``, certifies the answer when
+    it is not a fallback: canonicalization evaluated every map size and
+    offset (each >= 1, with the strides binding uses) and every cluster
+    size (each >= 1, without them), and falls back on a dimension mapped
+    twice in one level. None of the three rules can fire then, and the
+    product of the form's cluster sizes is ``required_pes``.
+    ``verify --check equiv`` re-checks both ways of computing it on
+    every mapping it compares (``screen.lint.form``).
+    """
+    if form is not None and not form.fallback:
+        return form.cluster_pes
     from repro.lint.engine import required_pes, static_errors
 
     try:
-        needed = required_pes(dataflow, context.layer)
+        needed = required_pes(dataflow, layer)
     except DataflowError:
         return None
-    return None if static_errors(dataflow, context.layer) else needed
+    return None if static_errors(dataflow, layer) else needed
+
+
+def _lint_fact(
+    dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext
+) -> Optional[int]:
+    form = None
+    if context.keyer is not None:
+        form = context.keyer.keying(context.layer, dataflow).form
+    return lint_fact(dataflow, context.layer, form)
 
 
 def _verify_fact(dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext) -> bool:
@@ -172,6 +202,8 @@ SCREENS: Tuple[Screen, ...] = (
     # (DF007) compared per point. Each error corresponds to a condition
     # under which binding raises, so the screen drops exactly the points
     # the cost model would reject, and the surviving set is identical.
+    # With the run's keyer in the context, a non-fallback canonical form
+    # gives the fact without running a rule (see ``lint_fact``).
     Screen(
         name="lint",
         keyword="static_lint",

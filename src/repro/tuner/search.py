@@ -87,16 +87,18 @@ def _screened_candidates(
     layer: Layer,
     accelerator: Accelerator,
     energy_model: EnergyModel,
-    screens: ScreenRunner,
+    context: ScreenContext,
+    enabled: Dict[str, bool],
     equiv_prune: bool,
-) -> Tuple[List[_Runnable], Dict[int, int], int]:
+) -> Tuple[List[_Runnable], Dict[int, int], int, Dict[str, int]]:
     """Phase 1 of :func:`tune_layer`: the candidates that pass the screens.
 
     Returns them, the equivalence quotient's replay map over them (empty
-    without ``equiv_prune``) and how many candidates were rejected. Each
-    candidate is keyed once and its cache key names its screen variant,
-    so every screen computes one fact per cache-key class (the soundness
-    argument is in :mod:`repro.screens`) and the quotient reads the
+    without ``equiv_prune``), how many candidates were rejected and the
+    rejects per screen statistics field. Each candidate is keyed once
+    and its cache key names its screen variant, so every screen computes
+    one fact per cache-key class (the soundness argument is in
+    :mod:`repro.screens`); the lint screen and the quotient read the
     keyer's canonical forms. The keyer is dropped on return, so the cost
     model reuses its memory.
     """
@@ -110,6 +112,7 @@ def _screened_candidates(
                 rejected += 1
         keyer = BatchKeyer()
         keys = keyer.keys((layer, dataflow, accelerator, energy_model) for _, dataflow in built)
+        screens = ScreenRunner("tuner", replace(context, keyer=keyer), enabled)
         runnable: List[_Runnable] = []
         for (spec, dataflow), key in zip(built, keys):
             if screens.reject(key, dataflow, accelerator):
@@ -125,7 +128,7 @@ def _screened_candidates(
             ((dataflow, accelerator.num_pes, None) for _, dataflow, _ in runnable),
             keyer,
         )
-    return runnable, replay_of, rejected
+    return runnable, replay_of, rejected, screens.finish()
 
 
 def tune_layer(
@@ -182,7 +185,7 @@ def tune_layer(
     identical set. ``executor="vector"`` gains nothing here: every
     mapping is its own vector group, smaller than
     :data:`~repro.exec.backend.VECTOR_MIN_GROUP`, so it falls back to the
-    scalar engines point by point (ROADMAP item 2).
+    scalar engines point by point (ROADMAP item 3).
     """
     start = time.perf_counter()
     try:
@@ -204,25 +207,22 @@ def tune_layer(
         )
 
     capped = max_l1_bytes is not None or max_l2_bytes is not None
-    screens = ScreenRunner(
-        "tuner",
-        ScreenContext(
-            layer,
-            reduction_support=accelerator.reduction_support,
-            over_budget=over_caps if capped else None,
-        ),
-        {
-            "static_lint": static_lint,
-            "verify_coverage": verify_coverage,
-            "comm_prune": comm_prune,
-            "capacity_prune": capacity_prune,
-            "symbolic_prune": symbolic_prune,
-        },
+    context = ScreenContext(
+        layer,
+        reduction_support=accelerator.reduction_support,
+        over_budget=over_caps if capped else None,
     )
+    enabled = {
+        "static_lint": static_lint,
+        "verify_coverage": verify_coverage,
+        "comm_prune": comm_prune,
+        "capacity_prune": capacity_prune,
+        "symbolic_prune": symbolic_prune,
+    }
 
     # Phase 1 — enumerate: build, key, screen and quotient the candidates.
-    runnable, replay_of, rejected = _screened_candidates(
-        specs, layer, accelerator, energy_model, screens, equiv_prune
+    runnable, replay_of, rejected, screen_rejects = _screened_candidates(
+        specs, layer, accelerator, energy_model, context, enabled, equiv_prune
     )
     eval_indices = [index for index in range(len(runnable)) if index not in replay_of]
 
@@ -278,7 +278,7 @@ def tune_layer(
         cache_hits=batch.stats.cache_hits,
         cost_model_calls=batch.stats.submitted,
         elapsed_seconds=time.perf_counter() - start,
-        **screens.finish(),
+        **screen_rejects,
     )
 
 

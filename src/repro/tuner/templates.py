@@ -14,11 +14,15 @@ space:
 
 ``build()`` materializes the spec as a :class:`Dataflow`; binding may
 still reject a candidate on a given layer/PE count (e.g. cluster larger
-than the array), which the search treats as invalid.
+than the array), which the search treats as invalid. Builds share their
+map directive objects: the candidates of one template (every field but
+the four tiles) differ only in their K, C, Y and X temporal maps, and
+the construction lints run once per directive shape.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -28,9 +32,8 @@ from repro.dataflow.directives import (
     ClusterDirective,
     Directive,
     MapDirective,
+    SizeLike,
     Sz,
-    spatial_map,
-    temporal_map,
 )
 from repro.tensors import dims as D
 
@@ -39,6 +42,15 @@ SPATIAL_DIMS: Tuple[str, ...] = (D.K, D.C, D.Y, D.X)
 
 #: Temporal schedule families.
 SCHEDULES: Tuple[str, ...] = ("reduction_inner", "activation_inner")
+
+_SZ_R = Sz(D.R)
+_SZ_S = Sz(D.S)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _map(size: SizeLike, offset: SizeLike, dim: str, spatial: bool = False) -> MapDirective:
+    """One shared directive object per spelling (directives are immutable)."""
+    return MapDirective(dim=dim, size=size, offset=offset, spatial=spatial)
 
 
 @dataclass(frozen=True)
@@ -82,16 +94,13 @@ class CandidateSpec:
         """Materialize the candidate as a Dataflow."""
         directives: List[Directive] = [self._spatial_directive(self.outer_spatial)]
         channel_maps = [
-            temporal_map(self.k_tile, self.k_tile, D.K),
-            temporal_map(self.c_tile, self.c_tile, D.C),
+            _map(self.k_tile, self.k_tile, D.K),
+            _map(self.c_tile, self.c_tile, D.C),
         ]
-        kernel_maps = [
-            temporal_map(Sz(D.R), Sz(D.R), D.R),
-            temporal_map(Sz(D.S), Sz(D.S), D.S),
-        ]
+        kernel_maps = [_map(_SZ_R, _SZ_R, D.R), _map(_SZ_S, _SZ_S, D.S)]
         activation_maps = [
-            temporal_map(self._plane_size("y"), self.y_tile, D.Y),
-            temporal_map(self._plane_size("x"), self.x_tile, D.X),
+            _map(self._plane_size("y"), self.y_tile, D.Y),
+            _map(self._plane_size("x"), self.x_tile, D.X),
         ]
         if self.schedule == "reduction_inner":
             order = activation_maps + [channel_maps[0], kernel_maps[0], kernel_maps[1], channel_maps[1]]
@@ -106,17 +115,17 @@ class CandidateSpec:
             directives.append(self._spatial_directive(self.inner_spatial))
         return Dataflow(name=self.name, directives=tuple(directives))
 
-    def _plane_size(self, axis: str):
+    def _plane_size(self, axis: str) -> SizeLike:
         if axis == "y":
-            return Sz(D.R) if self.y_tile == 1 else f"({self.y_tile}-1)*St(Y)+Sz(R)"
-        return Sz(D.S) if self.x_tile == 1 else f"({self.x_tile}-1)*St(X)+Sz(S)"
+            return _SZ_R if self.y_tile == 1 else f"({self.y_tile}-1)*St(Y)+Sz(R)"
+        return _SZ_S if self.x_tile == 1 else f"({self.x_tile}-1)*St(X)+Sz(S)"
 
     def _spatial_directive(self, dim: str) -> MapDirective:
         if dim == D.Y:
-            return spatial_map(Sz(D.R), 1, D.Y)
+            return _map(_SZ_R, 1, D.Y, True)
         if dim == D.X:
-            return spatial_map(Sz(D.S), 1, D.X)
-        return spatial_map(1, 1, dim)
+            return _map(_SZ_S, 1, D.X, True)
+        return _map(1, 1, dim, True)
 
 
 def enumerate_candidates(

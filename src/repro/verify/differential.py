@@ -474,6 +474,29 @@ def _screen_facts(dataflow: Dataflow, layer: Layer, accelerator: Accelerator) ->
     return facts
 
 
+def _lint_form_mismatches(variant: str, dataflow: Dataflow, layer: Layer) -> List[Mismatch]:
+    """The lint fact read off the canonical form against the rules' own.
+
+    :func:`repro.screens.lint_fact` certifies the lint screen's fact
+    from a non-fallback canonical form instead of running
+    ``required_pes`` and ``static_errors``; the two must agree
+    (``screen.lint.form``). A raise reads as its exception type, as in
+    :func:`_screen_facts`.
+    """
+    from repro.equiv.canonical import canonicalize
+    from repro.screens import lint_fact
+
+    facts: List[Any] = []
+    for form in (canonicalize(dataflow, layer), None):
+        try:
+            facts.append(lint_fact(dataflow, layer, form))
+        except Exception as error:  # the screen runner's soundness catch, mirrored
+            facts.append(f"raises {type(error).__name__}")
+    if facts[0] == facts[1]:
+        return []
+    return [Mismatch("equiv", variant, "screen.lint.form", claimed=facts[0], oracle=facts[1])]
+
+
 def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
     """Canonical/transposed twins on ``num_pes`` PEs against the mapping as spelled.
 
@@ -486,6 +509,10 @@ def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
     legitimately changes). Each twin's lint, verify, comm and capacity
     screen facts must also equal the original's: the tuner computes
     each fact once per cache-key class, and twins share a cache key.
+    The original and each twin must also have the same lint fact
+    whether it is read off their canonical form or computed by the
+    rules (:func:`_lint_form_mismatches`): the tuner reads it off the
+    form.
     """
     from repro.equiv.canonical import canonicalize
     from repro.equiv.symmetry import (
@@ -497,12 +524,13 @@ def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
     accelerator = Accelerator(num_pes=num_pes)
     original = _scalar_outcome(layer, dataflow, accelerator)
     form = canonicalize(dataflow, layer)
-    mismatches: List[Mismatch] = []
+    mismatches = _lint_form_mismatches("original", dataflow, layer)
     facts: Dict[str, Any] = {}
 
     def record(variant: str, twin_flow: Dataflow, twin: EvalOutcome) -> None:
         for path, a, b in compare_outcomes(original, twin):
             mismatches.append(Mismatch("equiv", variant, path, claimed=b, oracle=a))
+        mismatches.extend(_lint_form_mismatches(variant, twin_flow, layer))
         if not facts:
             facts.update(_screen_facts(dataflow, layer, accelerator))
         for name, fact in _screen_facts(twin_flow, layer, accelerator).items():
@@ -513,7 +541,8 @@ def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
 
     canonical_changed = int(not form.fallback and form.changed)
     if canonical_changed:
-        # canonicalize pre-validates the directives, so this never raises.
+        # A non-fallback form's spelling is constructible, so this never
+        # raises (tests/test_equiv.py pins it).
         twin_flow = Dataflow(name=dataflow.name, directives=form.directives)
         record("canonical", twin_flow, _scalar_outcome(layer, twin_flow, accelerator))
 

@@ -1,9 +1,17 @@
 """Tests for the Dataflow container: levels, validation, helpers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.dataflow.dataflow as dataflow_module
 from repro.dataflow.dataflow import Dataflow, dataflow
-from repro.dataflow.directives import ClusterDirective, spatial_map, temporal_map
+from repro.dataflow.directives import (
+    ClusterDirective,
+    MapDirective,
+    spatial_map,
+    temporal_map,
+)
 from repro.dataflow.library import (
     fig5_playground,
     kc_partitioned,
@@ -12,7 +20,9 @@ from repro.dataflow.library import (
     yr_partitioned,
 )
 from repro.errors import DataflowError
+from repro.lint.engine import construction_diagnostics
 from repro.tensors import dims as D
+from repro.tuner import enumerate_candidates
 
 
 class TestLevels:
@@ -60,6 +70,72 @@ class TestValidation:
             "ok", spatial_map(3, 1, D.Y), temporal_map(3, 1, D.X)
         )
         assert not flow.uses_output_coordinates("row")
+
+
+def _outcome(name, directives):
+    """The construction verdict: ``None``, or the raised error's diagnostics."""
+    try:
+        Dataflow(name=name, directives=directives)
+    except DataflowError as error:
+        return error.diagnostics
+    return None
+
+
+#: Directive lists over a few dims, sizes and Cluster positions.
+directive_lists = st.lists(
+    st.one_of(
+        st.builds(
+            MapDirective,
+            dim=st.sampled_from([D.K, D.C, D.Y, D.YP, D.X, D.XP]),
+            size=st.sampled_from([1, 3, "Sz(R)"]),
+            offset=st.sampled_from([1, 2]),
+            spatial=st.booleans(),
+        ),
+        st.builds(ClusterDirective, st.sampled_from([2, 8])),
+    ),
+    max_size=6,
+).map(tuple)
+
+
+class TestConstructionMemo:
+    """``Dataflow`` runs the construction lints (DF001-DF004) once per
+    directive shape: each directive's type and, for a map, its dim."""
+
+    def test_clean_shapes_are_structurally_valid(self, monkeypatch):
+        """No shape in the memo admits an empty list, a trailing
+        Cluster, a foreign directive or a Y/Y' (X/X') mix."""
+        monkeypatch.setattr(dataflow_module, "_CLEAN_SHAPES", set())
+        for spec in enumerate_candidates():
+            spec.build()
+        for flow in list(table3_dataflows().values()) + list(fig5_playground().values()):
+            Dataflow(name=flow.name, directives=flow.directives)
+        shapes = set(dataflow_module._CLEAN_SHAPES)
+        assert len(shapes) > 30
+        for shape in shapes:
+            assert shape
+            assert not issubclass(shape[-1][0], ClusterDirective)
+            assert all(issubclass(kind, (MapDirective, ClusterDirective)) for kind, _ in shape)
+            dims = {dim for _, dim in shape}
+            assert not {D.Y, D.YP} <= dims and not {D.X, D.XP} <= dims
+
+    @settings(max_examples=200, deadline=None)
+    @given(directives=directive_lists, other=directive_lists)
+    def test_memo_verdict_equals_the_lints(self, directives, other):
+        """Construction raises exactly when the lints report an error,
+        with their diagnostics, whether or not a list of the same shape
+        (or another list) was built before."""
+        expected = construction_diagnostics("f", directives)
+        errors = any(d.is_error for d in expected)
+        for _ in range(2):
+            _outcome("g", other)
+            assert _outcome("f", directives) == (expected if errors else None)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(dataflow_module, "_CLEAN_SHAPES", set())
+        monkeypatch.setattr(dataflow_module, "_CLEAN_SHAPES_MAX", 2)
+        for dim in (D.K, D.C, D.N):
+            dataflow("f", temporal_map(1, 1, dim))
+        assert len(dataflow_module._CLEAN_SHAPES) <= 2
 
 
 class TestHelpers:

@@ -107,6 +107,28 @@ class TestCanonicalForm:
         assert form.fallback
         assert form.key[0] == "raw"
 
+    def test_fully_elided_spelling_falls_back(self):
+        # Every directive is a single-chunk TemporalMap: the canonical
+        # spelling would be empty (DF001).
+        flow = Dataflow(
+            name="inert",
+            directives=(MapDirective(dim="K", size="Sz(K)", offset="Sz(K)", spatial=False),),
+        )
+        assert canonicalize(flow, SQUARE).fallback
+
+    def test_elided_last_level_falls_back(self):
+        # The inner level's only map is inert: the canonical spelling
+        # would end with the Cluster (DF003).
+        flow = Dataflow(
+            name="inert-inner",
+            directives=(
+                MapDirective(dim="K", size=1, offset=1, spatial=True),
+                ClusterDirective(4),
+                MapDirective(dim="C", size="Sz(C)", offset="Sz(C)", spatial=False),
+            ),
+        )
+        assert canonicalize(flow, SQUARE).fallback
+
     def test_canonical_dataflow_realizes(self):
         flow = kc_partitioned(c_tile=8)
         canonical = canonical_dataflow(flow, SQUARE)
@@ -233,6 +255,40 @@ class TestCrosscheck:
         assert len(reports) == len(pairs)
         assert sum(report.counts["canonical_changed"] for report in reports) > 0
         assert sum(report.counts["transposed_checked"] for report in reports) > 0
+
+
+def _changed_forms(pairs):
+    """The non-fallback canonical forms of ``pairs`` that respell the mapping."""
+    forms = []
+    for layer, flow in pairs:
+        form = canonicalize(flow, layer)
+        if not form.fallback and form.changed:
+            forms.append(form)
+    return forms
+
+
+@pytest.mark.parametrize("corpus", ["zoo-library", "tuner-grid"])
+def test_changed_forms_build_as_dataflows(corpus):
+    """Canonicalization no longer constructs the canonical spelling; it
+    checks the only two construction lints that spelling can fail. The
+    construction lints themselves are the oracle here, over the zoo x
+    stock library and the tuner grid x the tune-mapping layers."""
+    from repro.lint.engine import construction_diagnostics
+    from repro.model.zoo import MODELS
+
+    from tests.test_tuner_keying import TUNE_MAPPING_LAYERS, tuner_grid
+
+    if corpus == "zoo-library":
+        flows = list(stock_dataflows().values())
+        layers = [layer for model in sorted(MODELS) for layer in build(model).layers]
+    else:
+        flows = tuner_grid()
+        layers = [build(model).layer(name) for model, name in TUNE_MAPPING_LAYERS]
+    forms = _changed_forms((layer, flow) for layer in layers for flow in flows)
+    assert len(forms) > 100
+    for form in forms:
+        assert not [d for d in construction_diagnostics(form.name, form.directives) if d.is_error]
+        assert Dataflow(name=form.name, directives=form.directives).directives == form.directives
 
 
 def enriched_space():

@@ -7,8 +7,11 @@ Pins what that ordering relies on and what it promises:
   facts of each mapping with those of its canonical and certified
   transposed twins, here over the tuner grid on the perfbench
   tune-mapping layers;
+- the lint fact read off each mapping's canonical form equals the
+  one the rules compute (``screen.lint.form``, same check);
 - one ``tune_layer`` call canonicalizes each built candidate exactly
-  once and computes the capacity fact once per distinct cache key;
+  once and computes the capacity fact once per distinct cache key, and
+  a warm one runs no construction lint and no ``static_errors``;
 - the result does not depend on the executor or the cache, with every
   screen on.
 """
@@ -101,6 +104,50 @@ def test_equiv_check_reports_a_screen_fact_mismatch(monkeypatch, grid):
     mismatches = differential._equiv(flow, layer)[1]
     assert {m.quantity for m in mismatches} == {"screen.capacity"}
     assert {m.subject for m in mismatches} == {"canonical", "transposed"}
+
+
+def test_equiv_check_reports_a_lint_form_mismatch(monkeypatch, grid):
+    """A lint fact read off the canonical form that ignored one cluster
+    level would disagree with the rules on the mapping and both twins."""
+    from repro.equiv.canonical import CanonicalForm
+    from repro.util.intmath import prod
+
+    layer = build("resnet50").layer("CONV3_1a")
+    flow = next(flow for flow in grid if "x8" in flow.name)
+    assert differential._equiv(flow, layer)[1] == []
+
+    def outer_levels_only(form):
+        sizes = [level.cluster_size for level in form.levels if level.cluster_size is not None]
+        return prod(sizes[1:])
+
+    monkeypatch.setattr(CanonicalForm, "cluster_pes", property(outer_levels_only))
+    mismatches = differential._equiv(flow, layer)[1]
+    assert {m.quantity for m in mismatches} == {"screen.lint.form"}
+    assert {m.subject for m in mismatches} == {"original", "canonical", "transposed"}
+    assert {(m.claimed, m.oracle) for m in mismatches} == {(1, 8)}
+
+
+def test_warm_tune_runs_no_construction_lint_and_no_static_errors(monkeypatch):
+    """Once a template's shape is known, building its tiles runs no
+    construction lint, and the lint screen reads every candidate's fact
+    off its (never fallback) canonical form."""
+    import repro.lint.engine
+
+    layer = build("resnet50").layer("CONV3_1a")
+    accelerator = Accelerator(num_pes=256)
+    cold = tune_layer(layer, accelerator, cache=AnalysisCache(), **CAPS)
+    calls = []
+    for name in ("construction_diagnostics", "static_errors"):
+        original = getattr(repro.lint.engine, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.lint.engine, name, counting)
+    warm = tune_layer(layer, accelerator, cache=AnalysisCache(), **CAPS)
+    assert calls == []
+    assert warm.top == cold.top and warm.statically_rejected == cold.statically_rejected
 
 
 def test_one_tune_keys_each_candidate_once(monkeypatch, grid):
