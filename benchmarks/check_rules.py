@@ -8,6 +8,8 @@ summary-table row). This script walks both rule registries (concrete
 ``RULES`` and symbolic ``SYMBOLIC_RULES``) and fails CI when a rule was
 registered without holding up that contract — the failure mode this
 guards against is adding a new rule family and forgetting the docs.
+The reverse holds too: a section or row for a code no registry knows
+fails, so a retired rule's documentation cannot linger.
 
 The screen registry (:data:`repro.screens.OPTIONS`) holds the same
 contract: every option off by default must have its flag, with help
@@ -57,8 +59,9 @@ def check(docs_path: Path) -> list:
         return [f"cannot read docs file {docs_path}: {error.strerror or error}"]
 
     documented = documented_codes(docs_text)
+    registered = registered_codes()
     failures = []
-    for code in registered_codes():
+    for code in registered:
         try:
             explanation = explain_rule(code)
         except Exception as error:  # noqa: BLE001 - report, don't crash
@@ -76,6 +79,11 @@ def check(docs_path: Path) -> list:
                 f"{code}: not documented in {docs_path.name} "
                 f"(add a '## {code} — ...' section or a '| {code} |' row)"
             )
+    for code in sorted(documented - set(registered)):
+        failures.append(
+            f"{code}: documented in {docs_path.name} but no registry knows it "
+            f"(remove its section or row)"
+        )
     return failures
 
 

@@ -56,6 +56,7 @@ from repro.absint.interval import (
 )
 from repro.absint.shapes import ShapeBox
 from repro.dataflow.dataflow import Dataflow
+from repro.engines.analysis import buffering_factor
 from repro.engines.tensor_analysis import TensorAnalysis, TensorInfo, analyze_tensors
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -707,7 +708,9 @@ def _abs_level_performance(
     )
 
     upstream_sum = f_sum(reuse.unique_chunk_volumes.values()).clamp_low(0.0)
-    upstream_req = upstream_sum.floor_int() * (2 * hw.element_bytes)
+    upstream_req = upstream_sum.floor_int() * (
+        buffering_factor(hw.double_buffered) * hw.element_bytes
+    )
 
     return AbstractLevelStats(
         index=reuse.level.index,
@@ -931,7 +934,7 @@ def abstract_analyze(
 
     # Buffer requirements (double buffering).
     element_bytes = hw.element_bytes
-    buffering = 2 if hw.double_buffered else 1
+    buffering = buffering_factor(hw.double_buffered)
     l1_req = i_sum(
         i_prod(axis_extent(axis, innermost.chunk_sizes()) for axis in info.axes)
         for info in tensors.tensors

@@ -7,10 +7,11 @@ capacity-infeasible, with the closed-form crossover bandwidth) for any
 (dataflow, layer, accelerator) triple, from the mapping's tile chunks
 alone: no cost-model call, no simulation.
 
-The bounds reproduce the analytical engine's Figure-8 buffer sizing
-formulas bit-for-bit on the same bound mapping, so "static bound >=
-engine requirement" holds with equality by construction; the roofline
-floors are provable lower bounds of the engine's performance recursion.
+The bounds call the analytical engine's own Figure-8 buffer sizing
+functions on the same bound mapping, so "static bound >= engine
+requirement" holds with equality by construction; the roofline floors,
+built from the engine's per-step compute delay and NoC volumes, are
+provable lower bounds of the engine's performance recursion.
 Both facts are continuously re-checked by ``repro verify --check
 capacity`` (:mod:`repro.verify.differential`) against the analytical
 engine and the simulator's double-buffer occupancy walk.

@@ -2,11 +2,13 @@
 
 The analytical engine (:mod:`repro.engines.analysis`) sizes buffers with
 Figure 8's ``2 * max(working set)`` rule *after* running the full
-performance recursion. This module reproduces the exact same sizing
-formulas on the exact same :func:`bind_dataflow` output — binding plus
-the top level's unique-chunk volumes, no transition classes and no
-cost-model call — so the static peak bounds equal
-``LayerAnalysis.l1_buffer_req`` / ``l2_buffer_req`` /
+performance recursion. This module calls the engine's own sizing
+functions (:func:`~repro.engines.analysis.working_set`,
+:func:`~repro.engines.analysis.l2_working_set`,
+:func:`~repro.engines.analysis.buffer_req`) on the exact same
+:func:`bind_dataflow` output — binding plus the top level's unique-chunk
+volumes, no transition classes and no cost-model call — so the static
+peak bounds equal ``LayerAnalysis.l1_buffer_req`` / ``l2_buffer_req`` /
 ``intermediate_buffer_reqs`` bit-for-bit. Soundness ("static >= engine
 and >= any instantaneous simulator occupancy") therefore holds with
 equality against the engine, and with the engine's own double-buffer
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.engines.analysis import buffer_req, buffering_factor, l2_working_set, working_set
 from repro.engines.binding import BoundDataflow, bind_dataflow
 from repro.engines.reuse import level_unique_volumes
 from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
@@ -104,7 +107,7 @@ class CapacityBounds:
 
     @property
     def buffering(self) -> int:
-        return 2 if self.double_buffered else 1
+        return buffering_factor(self.double_buffered)
 
     @property
     def feasible(self) -> bool:
@@ -141,6 +144,17 @@ def _bind(
     return bound, tensors
 
 
+def _occupancy(
+    label: str, elems: int, accelerator: Accelerator, capacity: Optional[int]
+) -> LevelOccupancy:
+    return LevelOccupancy(
+        label=label,
+        steady_bytes=elems * accelerator.element_bytes,
+        peak_bytes=buffer_req(elems, accelerator),
+        capacity_bytes=capacity,
+    )
+
+
 def _bounds_from(
     bound: BoundDataflow,
     tensors: TensorAnalysis,
@@ -148,62 +162,43 @@ def _bounds_from(
     dataflow_name: str,
     layer_name: str,
 ) -> CapacityBounds:
-    """The Figure-8 sizing formulas, verbatim from the engine."""
-    element_bytes = accelerator.element_bytes
-    buffering = 2 if accelerator.double_buffered else 1
-    innermost = bound.innermost()
-
+    """The engine's Figure-8 sizing of every buffer level."""
     # L1 (per PE): every tensor's clamped innermost chunk.
-    l1_elems = sum(info.volume(innermost.chunk_sizes()) for info in tensors.tensors)
-    l1 = LevelOccupancy(
-        label="L1 (per PE)",
-        steady_bytes=int(l1_elems * element_bytes),
-        peak_bytes=int(buffering * l1_elems * element_bytes),
-        capacity_bytes=accelerator.l1_size,
+    l1 = _occupancy(
+        "L1 (per PE)",
+        working_set(tensors, bound.innermost().chunk_sizes()),
+        accelerator,
+        accelerator.l1_size,
     )
-
-    # L2 (shared): the array-wide unique top-level chunk, dense-indexed
-    # (divided by density, exactly as the engine stores sparse tensors).
+    # L2 (shared): the array-wide unique top-level chunk, dense-indexed.
     top_unique = level_unique_volumes(bound.levels[0], tensors)
-    l2_elems = int(
-        sum(
-            top_unique[info.name] / max(info.density, 1e-12)
-            for info in tensors.tensors
-        )
+    l2 = _occupancy(
+        "L2 (shared)",
+        l2_working_set(tensors, top_unique),
+        accelerator,
+        accelerator.l2_size,
     )
-    l2 = LevelOccupancy(
-        label="L2 (shared)",
-        steady_bytes=int(l2_elems * element_bytes),
-        peak_bytes=int(buffering * l2_elems * element_bytes),
-        capacity_bytes=accelerator.l2_size,
-    )
-
     # Cluster-boundary buffers: the level-d chunk per depth-(d+1) sub-cluster.
     total_levels = len(bound.levels)
-    intermediates = []
-    for level in bound.levels[:-1]:
-        elems = sum(info.volume(level.chunk_sizes()) for info in tensors.tensors)
-        intermediates.append(
-            LevelOccupancy(
-                label=(
-                    f"cluster level {level.index}/{total_levels - 1} chunk "
-                    f"(per depth-{level.index + 1} sub-cluster)"
-                ),
-                steady_bytes=int(elems * element_bytes),
-                peak_bytes=int(buffering * elems * element_bytes),
-                capacity_bytes=None,
-            )
+    intermediates = tuple(
+        _occupancy(
+            f"cluster level {level.index}/{total_levels - 1} chunk "
+            f"(per depth-{level.index + 1} sub-cluster)",
+            working_set(tensors, level.chunk_sizes()),
+            accelerator,
+            None,
         )
-
+        for level in bound.levels[:-1]
+    )
     return CapacityBounds(
         dataflow_name=dataflow_name,
         layer_name=layer_name,
         num_pes=accelerator.num_pes,
-        element_bytes=element_bytes,
+        element_bytes=accelerator.element_bytes,
         double_buffered=accelerator.double_buffered,
         l1=l1,
         l2=l2,
-        intermediates=tuple(intermediates),
+        intermediates=intermediates,
     )
 
 
@@ -214,7 +209,7 @@ def compute_capacity_bounds(
 
     Peak bounds equal the engine's ``l1_buffer_req`` /
     ``l2_buffer_req`` / ``intermediate_buffer_reqs`` bit-for-bit (same
-    binding, same formulas) at a fraction of the cost: binding, tensor
+    binding, same sizing functions) at a fraction of the cost: binding, tensor
     analysis, and the top level's unique-chunk volumes
     (:func:`~repro.engines.reuse.level_unique_volumes`) — no transition
     classes and no performance recursion.

@@ -3,7 +3,8 @@
 The explorer's ``fold_point`` provisions each surviving design's buffers
 from the engine-reported requirement (``l1 = max(l1_buffer_req, 1)``,
 ``l2 = max(l2_buffer_req, 1)``). Because :func:`compute_capacity_bounds`
-reproduces those requirements bit-for-bit from the binding alone,
+computes those requirements with the engine's sizing functions from the
+binding alone,
 :func:`capacity_requirements` knows the sizes before any cost-model
 call. The ``--capacity-prune`` screen that decides on them, and its
 soundness argument, live in :mod:`repro.screens`.

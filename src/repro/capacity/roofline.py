@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
 from repro.capacity.bounds import CapacityBounds, _bind, _bounds_from
+from repro.engines.analysis import compute_delay, egress_volume, ingress_volume
 from repro.engines.binding import BoundLevel
-from repro.engines.reuse import TensorTraffic, analyze_level_reuse, build_odometer
+from repro.engines.reuse import analyze_level_reuse, build_odometer
 from repro.dataflow.dataflow import Dataflow
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import Layer
@@ -94,18 +95,6 @@ def _odometer_states(level: BoundLevel) -> int:
     return states
 
 
-def _ingress_elems(
-    traffic: Mapping[str, TensorTraffic], out_name: str, multicast: bool
-) -> float:
-    """Engine ``ingress_volume``: non-output traffic, multicast-aware."""
-    total = 0.0
-    for name, tensor_traffic in traffic.items():
-        if name == out_name:
-            continue
-        total += tensor_traffic.unique if multicast else tensor_traffic.delivered
-    return total
-
-
 def classify_roofline(
     dataflow: Dataflow, layer: Layer, accelerator: Accelerator
 ) -> RooflineCertificate:
@@ -117,34 +106,24 @@ def classify_roofline(
     bound, tensors = _bind(dataflow, layer, accelerator)
     bounds = _bounds_from(bound, tensors, accelerator, dataflow.name, layer.name)
 
-    # Compute floor: MAC delay per innermost state, odometer states per
-    # level, multiplied out across the hierarchy.
-    input_density = 1.0
-    for info in tensors.inputs:
-        input_density *= info.density
-    ops_per_step = tensors.ops_per_chunk(bound.innermost().chunk_sizes()) * (
-        input_density
-    )
-    compute_delay = max(1.0, ops_per_step / accelerator.vector_width)
-    compute_floor = compute_delay
+    # Compute floor: the engine's MAC delay per innermost state, odometer
+    # states per level, multiplied out across the hierarchy.
+    compute_floor = compute_delay(tensors, bound.innermost().chunk_sizes(), accelerator)
     for level in bound.levels:
         compute_floor *= _odometer_states(level)
 
     # Communication floor: total top-level ingress (+ readback) volume
-    # per sweep, mirroring the engine's per-step accounting exactly.
+    # per sweep, from the engine's per-step volumes.
     top_reuse = analyze_level_reuse(bound.levels[0], tensors)
     multicast = accelerator.noc.multicast
     out_name = top_reuse.output_name
-    volume = _ingress_elems(top_reuse.init.traffic, out_name, multicast)
+    volume = ingress_volume(top_reuse.init.traffic, out_name, multicast)
     readback_total = top_reuse.psum_readback_per_sweep
     spill = top_reuse.output_spatially_reduced and not accelerator.spatial_reduction
     for cls in top_reuse.classes:
-        volume += cls.count * _ingress_elems(cls.traffic, out_name, multicast)
+        volume += cls.count * ingress_volume(cls.traffic, out_name, multicast)
         if cls.outputs_advance and readback_total > 0:
-            out_traffic = cls.traffic[out_name]
-            volume += cls.count * (
-                out_traffic.delivered if spill else out_traffic.unique
-            )
+            volume += cls.count * egress_volume(cls.traffic, out_name, spill)
     bandwidth = accelerator.noc.bandwidth
     comm_floor = volume / bandwidth if bandwidth > 0 else float("inf")
 

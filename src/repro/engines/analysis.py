@@ -11,8 +11,14 @@ cluster level outward:
   serialized latency (exactly the paper's Figure 8 pseudocode);
 - one step of level ``l`` is a full sweep of level ``l+1``, so the inner
   sweep's runtime is the outer level's compute delay;
-- buffer requirements are twice the per-step working set (double
-  buffering), per Figure 8's ``2 * max(...)`` rule.
+- buffer requirements are the per-step working set times the buffering
+  factor (two under double buffering), per Figure 8's ``2 * max(...)``
+  rule.
+
+The per-step formulas and the sizing rule are plain functions here
+(:func:`compute_delay`, :func:`ingress_volume`, :func:`egress_volume`,
+:func:`working_set`, :func:`l2_working_set`, :func:`buffer_req`), the one
+definition the capacity analyzer and the vector lowering call.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.engines.binding import BoundDataflow, BoundLevel, bind_dataflow
-from repro.engines.reuse import LevelReuse, analyze_level_reuse
-from repro.engines.tensor_analysis import analyze_tensors
+from repro.engines.reuse import LevelReuse, TensorTraffic, analyze_level_reuse
+from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
 from repro.dataflow.dataflow import Dataflow
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -147,6 +153,75 @@ class EvalOutcome:
         return self if self.cached else replace(self, cached=True)
 
 
+# ----------------------------------------------------------------------
+# Figure 8's per-step and sizing formulas. The capacity analyzer, the
+# roofline certificate and the vector lowering call these rather than
+# restating them, so every consumer sizes a mapping exactly as the
+# engine does.
+# ----------------------------------------------------------------------
+def compute_delay(
+    tensors: TensorAnalysis, innermost_sizes: Mapping[str, int], accelerator: Accelerator
+) -> float:
+    """Cycles of one innermost step: the chunk's effective MACs over the
+    vector width, at least one.
+
+    Spatial reduction hardware (adder tree / forwarding chain) is fully
+    pipelined: its depth adds latency but does not reduce steady-state
+    throughput, so no per-step penalty is modeled.
+    """
+    input_density = 1.0
+    for info in tensors.inputs:
+        input_density *= info.density
+    ops_per_step = tensors.ops_per_chunk(innermost_sizes) * input_density
+    return max(1.0, ops_per_step / accelerator.vector_width)
+
+
+def ingress_volume(traffic: Mapping[str, TensorTraffic], out_name: str, multicast: bool) -> float:
+    """Input elements one transition moves over the NoC: each tensor's
+    unique volume under multicast, its delivered volume otherwise."""
+    total = 0.0
+    for name, tensor_traffic in traffic.items():
+        if name == out_name:
+            continue
+        total += tensor_traffic.unique if multicast else tensor_traffic.delivered
+    return total
+
+
+def egress_volume(traffic: Mapping[str, TensorTraffic], out_name: str, spill: bool) -> float:
+    """Output elements one transition moves over the NoC. ``spill``: the
+    level reduces outputs spatially without reduction hardware, so every
+    sub-unit's partial sums travel separately."""
+    tensor_traffic = traffic[out_name]
+    return tensor_traffic.delivered if spill else tensor_traffic.unique
+
+
+def buffering_factor(double_buffered: bool) -> int:
+    """Live tile sets per buffer: Figure 8's ``2 *`` under double
+    buffering, one slot without it."""
+    return 2 if double_buffered else 1
+
+
+def working_set(tensors: TensorAnalysis, chunk_sizes: Mapping[str, int]) -> int:
+    """Elements of one live tile set: every tensor's clamped chunk.
+
+    The innermost level's chunk sizes L1 (per PE); level ``d``'s chunk
+    sizes the cluster-boundary buffer of each depth-``d+1`` sub-cluster.
+    """
+    return sum(info.volume(chunk_sizes) for info in tensors.tensors)
+
+
+def l2_working_set(tensors: TensorAnalysis, unique_volumes: Mapping[str, float]) -> int:
+    """Elements of the shared L2's tile set: the array-wide unique
+    top-level chunk, dense-indexed (a sparse tensor is stored at its
+    full index range, so its density-scaled volume is divided back)."""
+    return int(sum(unique_volumes[t.name] / max(t.density, 1e-12) for t in tensors.tensors))
+
+
+def buffer_req(elems: int, accelerator: Accelerator) -> int:
+    """Bytes a buffer holding ``elems``-element tile sets must provision."""
+    return buffering_factor(accelerator.double_buffered) * elems * accelerator.element_bytes
+
+
 def analyze_layer(
     layer: Layer,
     dataflow: Dataflow,
@@ -161,23 +236,12 @@ def analyze_layer(
     with span("engine.reuse"):
         reuses = [analyze_level_reuse(level, tensors) for level in bound.levels]
 
-    input_density = 1.0
-    for info in tensors.inputs:
-        input_density *= info.density
-
     # ------------------------------------------------------------------
     # Performance recursion, innermost level outward.
     # ------------------------------------------------------------------
     with span("engine.performance"):
-        innermost = bound.innermost()
-        ops_per_step = tensors.ops_per_chunk(innermost.chunk_sizes()) * input_density
-        # Spatial reduction hardware (adder tree / forwarding chain) is
-        # fully pipelined: its depth adds latency but does not reduce
-        # steady-state throughput, so no per-step penalty is modeled.
-        compute_delay = max(1.0, ops_per_step / accelerator.vector_width)
-
         level_stats: List[LevelStats] = []
-        t_inner = compute_delay
+        t_inner = compute_delay(tensors, bound.innermost().chunk_sizes(), accelerator)
         for level, reuse in zip(reversed(bound.levels), reversed(reuses)):
             if level.index == 0:
                 init_scale = None
@@ -253,21 +317,12 @@ def analyze_layer(
             intermediate_writes += stats.egress_per_sweep * multiplier
 
         # ------------------------------------------------------------------
-        # Buffer requirements (double buffering).
+        # Buffer requirements (Figure 8's sizing rule).
         # ------------------------------------------------------------------
-        element_bytes = accelerator.element_bytes
-        buffering = 2 if accelerator.double_buffered else 1
-        l1_req = buffering * sum(
-            info.volume(innermost.chunk_sizes()) for info in tensors.tensors
-        ) * element_bytes
-        l2_req = buffering * int(
-            sum(reuses[0].unique_chunk_volumes[t.name] / max(t.density, 1e-12)
-                for t in tensors.tensors)
-        ) * element_bytes
+        l1_req = buffer_req(working_set(tensors, bound.innermost().chunk_sizes()), accelerator)
+        l2_req = buffer_req(l2_working_set(tensors, reuses[0].unique_chunk_volumes), accelerator)
         intermediate_reqs = tuple(
-            buffering
-            * sum(info.volume(level.chunk_sizes()) for info in tensors.tensors)
-            * element_bytes
+            buffer_req(working_set(tensors, level.chunk_sizes()), accelerator)
             for level in bound.levels[:-1]
         )
 
@@ -299,7 +354,7 @@ def analyze_layer(
             max_reuse_factors[info.name] = total_ops / volume if volume else float("inf")
 
         noc_bw_req = top.peak_bw_elems_per_cycle
-        noc_bw_req_gbps = noc_bw_req * element_bytes * accelerator.clock_ghz
+        noc_bw_req_gbps = noc_bw_req * accelerator.element_bytes * accelerator.clock_ghz
 
         # ------------------------------------------------------------------
         # Energy.
@@ -421,19 +476,7 @@ def _analyze_level_performance(
             return 1.0
         return init_scale.get(name, 1.0)
 
-    def ingress_volume(traffic) -> float:
-        total = 0.0
-        for name, tensor_traffic in traffic.items():
-            if name == out_name:
-                continue
-            total += tensor_traffic.unique if multicast else tensor_traffic.delivered
-        return total
-
-    def egress_volume(traffic) -> float:
-        tensor_traffic = traffic[out_name]
-        if reuse.output_spatially_reduced and not accelerator.spatial_reduction:
-            return tensor_traffic.delivered
-        return tensor_traffic.unique
+    spill = reuse.output_spatially_reduced and not accelerator.spatial_reduction
 
     ingress_sweep: Dict[str, float] = {}
     delivered_sweep: Dict[str, float] = {}
@@ -460,22 +503,13 @@ def _analyze_level_performance(
 
     comm_volume = init_ingress
 
-    sweep_steps = reuse.level.sweep_steps
-    # Amortized egress per output-advancing transition.
-    output_transitions = sum(
-        cls.count for cls in reuse.classes if cls.outputs_advance
-    )
-    egress_hw_factor = (
-        reuse.level.avg_active
-        if reuse.output_spatially_reduced and not accelerator.spatial_reduction
-        else 1.0
-    )
+    egress_hw_factor = reuse.level.avg_active if spill else 1.0
     egress_total = reuse.egress_per_sweep * egress_hw_factor
     readback_total = reuse.psum_readback_per_sweep
 
     for cls in reuse.classes:
-        ingress = ingress_volume(cls.traffic)
-        egress = egress_volume(cls.traffic) if cls.outputs_advance else 0.0
+        ingress = ingress_volume(cls.traffic, out_name, multicast)
+        egress = egress_volume(cls.traffic, out_name, spill) if cls.outputs_advance else 0.0
         readback = 0.0
         if cls.outputs_advance and readback_total > 0:
             readback = egress  # partial sums come back before accumulation
@@ -505,7 +539,7 @@ def _analyze_level_performance(
     # Sustained bandwidth to keep communication hidden under compute:
     # total moved volume over the compute time of the whole sweep.
     egress_unaccounted = egress_total + readback_total - sum(
-        cls.count * egress_volume(cls.traffic)
+        cls.count * egress_volume(cls.traffic, out_name, spill)
         for cls in reuse.classes
         if cls.outputs_advance
     )
@@ -513,9 +547,7 @@ def _analyze_level_performance(
         total_steps * t_inner, 1.0
     )
 
-    upstream_req = 2 * int(
-        sum(reuse.unique_chunk_volumes.values())
-    ) * accelerator.element_bytes
+    upstream_req = buffer_req(int(sum(reuse.unique_chunk_volumes.values())), accelerator)
 
     return LevelStats(
         index=level.index,

@@ -836,94 +836,6 @@ def _check_coverage_gaps(ctx: RuleContext) -> Iterator[Diagnostic]:
 
 
 # ======================================================================
-# Buffer capacity (DF013-DF014)
-# ======================================================================
-@rule(
-    "DF013",
-    "per-PE tile footprint exceeds L1 capacity",
-    Severity.ERROR,
-    requires=("layer", "accelerator"),
-)
-def _check_l1_footprint(ctx: RuleContext) -> Iterator[Diagnostic]:
-    """The innermost tile (double-buffered) must fit the per-PE L1.
-
-    Heuristic capacity check against the bound chunk sizes and tensor
-    volumes; an overflow means the mapping cannot be buffered as
-    scheduled.
-    """
-    if ctx.accelerator.l1_size is None:
-        return
-    bound, tensors = ctx.bound, ctx.tensors
-    if bound is None or tensors is None:
-        return
-    buffering = 2 if ctx.accelerator.double_buffered else 1
-    chunk = bound.innermost().chunk_sizes()
-    footprint = (
-        buffering
-        * sum(info.volume(chunk) for info in tensors.tensors)
-        * ctx.accelerator.element_bytes
-    )
-    if footprint > ctx.accelerator.l1_size:
-        yield ctx.diag(
-            "DF013",
-            f"{ctx.name}: per-PE tile footprint {footprint} B "
-            f"({'double' if buffering == 2 else 'single'}-buffered) exceeds the "
-            f"L1 capacity of {ctx.accelerator.l1_size} B",
-            fixit=FixIt(
-                f"shrink the innermost mapping sizes, or provision "
-                f"l1_size >= {footprint} B"
-            ),
-        )
-
-
-@rule(
-    "DF014",
-    "working set exceeds L2 capacity",
-    Severity.WARNING,
-    requires=("layer", "accelerator"),
-)
-def _check_l2_footprint(ctx: RuleContext) -> Iterator[Diagnostic]:
-    """The level-0 working set should fit the shared L2.
-
-    Heuristic capacity warning: an overflow does not break the
-    schedule, but every excess byte spills to DRAM traffic.
-    """
-    if ctx.accelerator.l2_size is None:
-        return
-    bound, tensors = ctx.bound, ctx.tensors
-    if bound is None or tensors is None:
-        return
-    try:
-        from repro.engines.reuse import level_unique_volumes
-
-        unique = level_unique_volumes(bound.levels[0], tensors)
-    except Exception:
-        return
-    buffering = 2 if ctx.accelerator.double_buffered else 1
-    footprint = (
-        buffering
-        * int(
-            sum(
-                unique[t.name] / max(t.density, 1e-12)
-                for t in tensors.tensors
-            )
-        )
-        * ctx.accelerator.element_bytes
-    )
-    if footprint > ctx.accelerator.l2_size:
-        yield ctx.diag(
-            "DF014",
-            f"{ctx.name}: level-0 working set {footprint} B exceeds the L2 "
-            f"capacity of {ctx.accelerator.l2_size} B; traffic will spill "
-            f"to DRAM",
-            fixit=FixIt(
-                f"shrink the level-0 mapping sizes, or provision "
-                f"l2_size >= {footprint} B"
-            ),
-        )
-
-
-# ======================================================================
 # Hardware reuse support, the paper's Table 5 (DF015-DF016, DF018)
 # ======================================================================
 @rule(
@@ -1568,9 +1480,9 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
 # Buffer-capacity & roofline feasibility, backed by repro.capacity
 # (DF500-DF504)
 #
-# These rules read the static occupancy analyzer: the bounds reproduce
-# the engine's Figure-8 sizing formulas bit-for-bit on the same bound
-# mapping, so every overflow verdict is certified, not estimated. The
+# These rules read the static occupancy analyzer: the bounds are the
+# engine's own Figure-8 sizing functions on the same bound mapping, so
+# every overflow verdict is certified, not estimated. The
 # capacity rules only fire when the accelerator declares the relevant
 # capacity (an unsized buffer is provisioned from the requirement);
 # DF504 reads the roofline certificate and always applies. None are
@@ -1584,11 +1496,11 @@ def _capacity_certificates(
     flow = ctx.flow
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return None
-    try:
-        from repro.capacity import classify_roofline
+    from repro.capacity import classify_roofline
 
+    try:
         roofline = classify_roofline(flow, ctx.layer, ctx.accelerator)
-    except Exception:
+    except DataflowError:
         return None
     return roofline.bounds, roofline
 

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engines.analysis import EvalOutcome, LayerAnalysis, LevelStats
+from repro.engines.analysis import EvalOutcome, LayerAnalysis, LevelStats, buffering_factor
 from repro.engines.reuse import LevelReuse
 from repro.engines.tensor_analysis import TensorInfo
 from repro.hardware.accelerator import Accelerator
@@ -632,7 +632,7 @@ def _v_level_performance(
     )
 
     upstream_req = (
-        2
+        buffering_factor(lowered.double_buffered)
         * _trunc_int(_vsum(list(vreuse.unique_chunk_volumes.values())))
         * lowered.element_bytes
     )
@@ -861,7 +861,7 @@ def _evaluate_feasible(
         intermediate_writes = intermediate_writes + stats.egress_per_sweep * multiplier
 
     element_bytes = lowered.element_bytes
-    buffering = 2 if lowered.double_buffered else 1
+    buffering = buffering_factor(lowered.double_buffered)
     l1_req = lowered.l1_req
     l2_req = (
         buffering

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import evaluate_size
+from repro.engines.analysis import buffer_req, compute_delay, working_set
 from repro.engines.binding import BoundLevel, _bind_level
 from repro.engines.reuse import LevelReuse, analyze_level_reuse
 from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
@@ -160,7 +161,6 @@ class LoweredGroup:
     inner_reuses: Tuple[LevelReuse, ...]
     tensors: TensorAnalysis
     axis_tables: Mapping[str, AxisTable]
-    input_density: float
     compute_delay: float
     # Innermost-chunk constants for the accounting stage.
     l1_req: int
@@ -383,30 +383,11 @@ def _lower_group(
         for info in tensors.tensors
     }
 
-    input_density = 1.0
-    for info in tensors.inputs:
-        input_density *= info.density
-
-    innermost_sizes = inner_levels[-1].chunk_sizes() if inner_levels else top_sizes
-    ops_per_step = tensors.ops_per_chunk(innermost_sizes) * input_density
-    compute_delay = max(1.0, ops_per_step / accelerator.vector_width)
-
-    element_bytes = accelerator.element_bytes
-    buffering = 2 if accelerator.double_buffered else 1
-    l1_req = (
-        buffering
-        * sum(info.volume(innermost_sizes) for info in tensors.tensors)
-        * element_bytes
-    )
-    # ``bound.levels[:-1]`` in the scalar engine: the top level plus all
-    # inner levels except the innermost. Chunk sizes are constants.
-    all_chunk_sizes = [top_sizes] + [level.chunk_sizes() for level in inner_levels]
-    intermediate_reqs = tuple(
-        buffering
-        * sum(info.volume(level_sizes) for info in tensors.tensors)
-        * element_bytes
-        for level_sizes in all_chunk_sizes[:-1]
-    )
+    # The scalar engine's ``bound.levels`` chunk sizes, outermost first:
+    # the innermost sizes L1, the others the intermediate buffers.
+    *outer_sizes, innermost_sizes = [top_sizes] + [
+        level.chunk_sizes() for level in inner_levels
+    ]
 
     return LoweredGroup(
         layer=layer,
@@ -420,7 +401,7 @@ def _lower_group(
         spatial_reduction=accelerator.spatial_reduction,
         double_buffered=accelerator.double_buffered,
         vector_width=accelerator.vector_width,
-        element_bytes=element_bytes,
+        element_bytes=accelerator.element_bytes,
         clock_ghz=accelerator.clock_ghz,
         dram_bandwidth=accelerator.dram_bandwidth,
         row_rep=row_rep,
@@ -432,10 +413,11 @@ def _lower_group(
         inner_reuses=inner_reuses,
         tensors=tensors,
         axis_tables=axis_tables,
-        input_density=input_density,
-        compute_delay=compute_delay,
-        l1_req=int(l1_req),
-        intermediate_reqs=tuple(int(v) for v in intermediate_reqs),
+        compute_delay=compute_delay(tensors, innermost_sizes, accelerator),
+        l1_req=buffer_req(working_set(tensors, innermost_sizes), accelerator),
+        intermediate_reqs=tuple(
+            buffer_req(working_set(tensors, sizes), accelerator) for sizes in outer_sizes
+        ),
     )
 
 

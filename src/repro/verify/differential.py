@@ -1017,7 +1017,7 @@ GATE_PES = (16, 64, 256, 1024)
 def _gate_accelerators(pes: int) -> List[Tuple[str, Accelerator]]:
     """A default machine, and one whose declared 64 B L1 and 4 KiB L2,
     missing reduction tree and unicast NoC make the capacity (DF500,
-    DF502, DF013) and race (DF300) errors fire beside the binding ones."""
+    DF502) and race (DF300) errors fire beside the binding ones."""
     constrained = Accelerator(
         num_pes=pes,
         l1_size=64,

@@ -124,6 +124,33 @@ class TestHardwareSensitivity:
         assert serial.runtime > buffered.runtime
         assert serial.l1_buffer_req == buffered.l1_buffer_req // 2
 
+    def test_single_buffering_halves_upstream_requirement(self, layer):
+        """Each level's upstream requirement follows the buffering factor
+        like every other Figure-8 size, and the vector and interval
+        engines report the same single-buffered value."""
+        from repro.absint import HardwareBox, ShapeBox, abstract_analyze
+        from repro.verify.differential import run_vector
+
+        flow = kc_partitioned()
+        single = Accelerator(num_pes=64, double_buffered=False)
+        buffered = analyze_layer(layer, flow, Accelerator(num_pes=64))
+        serial = analyze_layer(layer, flow, single)
+        halves = [stats.upstream_buffer_req // 2 for stats in buffered.level_stats]
+        assert len(halves) == 2 and all(halves)
+        assert [stats.upstream_buffer_req for stats in serial.level_stats] == halves
+
+        grid = [Accelerator(num_pes=pes, double_buffered=False) for pes in (16, 64, 256)]
+        report = run_vector(layer, flow, grid)
+        assert report.ok and report.counts["points_checked"] == 3, report.render()
+
+        abstract = abstract_analyze(
+            ShapeBox.from_layer(layer), flow, HardwareBox.from_accelerator(single)
+        )
+        assert [
+            (stats.upstream_buffer_req.lo, stats.upstream_buffer_req.hi)
+            for stats in abstract.level_stats
+        ] == [(half, half) for half in halves]
+
     def test_vector_width_speeds_compute_bound(self, layer):
         flow = yr_partitioned()
         slow = analyze_layer(layer, flow, Accelerator(num_pes=27))

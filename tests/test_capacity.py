@@ -28,6 +28,7 @@ from repro.errors import BindingError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
 from repro.model.zoo import build
+from repro.vector.lower import lower_group
 from repro.verify.differential import run
 
 
@@ -158,6 +159,13 @@ class TestCrosscheck:
         assert report.ok, report.render()
         assert report.counts["engine_exact"]
         assert report.counts["absint_exact"]
+        # The vector lowering's constant requirements are the engine's too.
+        for double_buffered in (True, False):
+            accelerator = Accelerator(num_pes=64, double_buffered=double_buffered)
+            engine = analyze_layer(layer, flow, accelerator)
+            lowered = lower_group(layer, flow, accelerator)
+            assert lowered.l1_req == engine.l1_buffer_req
+            assert lowered.intermediate_reqs == engine.intermediate_buffer_reqs
 
     def test_render_mentions_verdict(self, layer):
         (report,) = run("capacity", [(layer, kc_partitioned())])

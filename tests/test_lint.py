@@ -209,20 +209,22 @@ def test_df012_unresolvable_expression():
 
 
 def test_df013_l1_overflow():
+    # The retired DF013 (tile footprint over L1) is DF500 or DF502 now.
     flow = dataflow("b", spatial_map(1, 1, D.K), temporal_map(8, 8, D.C))
     tiny = Accelerator(num_pes=4, l1_size=4)
     report = lint_dataflow(flow, LAYER, tiny)
-    hits = [d for d in report.diagnostics if d.code == "DF013"]
+    hits = [d for d in report.diagnostics if d.code in ("DF500", "DF502")]
     assert len(hits) == 1 and hits[0].is_error
     roomy = Accelerator(num_pes=4, l1_size=1 << 20)
-    assert "DF013" not in codes_of(lint_dataflow(flow, LAYER, roomy))
+    assert not {"DF500", "DF502"} & codes_of(lint_dataflow(flow, LAYER, roomy))
 
 
 def test_df014_l2_overflow():
+    # The retired DF014 (working set over L2) is DF501 now.
     flow = dataflow("b", spatial_map(1, 1, D.K), temporal_map(8, 8, D.C))
     tiny = Accelerator(num_pes=4, l2_size=8)
     report = lint_dataflow(flow, LAYER, tiny)
-    hits = [d for d in report.diagnostics if d.code == "DF014"]
+    hits = [d for d in report.diagnostics if d.code == "DF501"]
     assert len(hits) == 1 and hits[0].severity is Severity.WARNING
 
 
@@ -265,7 +267,8 @@ def test_df018_idle_level():
 # Registry and report plumbing
 # ----------------------------------------------------------------------
 def test_rule_registry_is_complete():
-    expected = [f"DF{i:03d}" for i in range(1, 19)]
+    # DF013/DF014 are retired: DF500/DF502 and DF501 report the same overflows.
+    expected = [f"DF{i:03d}" for i in range(1, 19) if i not in (13, 14)]
     expected += ["DF101", "DF102", "DF103"]  # verifier-backed coverage codes
     expected += ["DF300", "DF301", "DF302", "DF303"]  # communication codes
     expected += ["DF400", "DF401", "DF402", "DF403"]  # equivalence/dominance

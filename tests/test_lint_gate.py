@@ -25,6 +25,7 @@ from repro import obs
 from repro.dataflow.library import stock_dataflows
 from repro.dataflow.parser import parse_dataflow
 from repro.engines.binding import bind_dataflow
+from repro.errors import BindingError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.lint import RULES, Rule, Severity, lint_dataflow, lint_directives
 from repro.lint.engine import error_rule_codes, lint_errors
@@ -56,7 +57,7 @@ def _mappings():
 # Which rules the gate runs
 # ----------------------------------------------------------------------
 def test_error_rule_codes_are_the_error_severity_rules():
-    expected = "DF001 DF002 DF003 DF004 DF005 DF007 DF011 DF012 DF013 DF101 DF300 DF500 DF502"
+    expected = "DF001 DF002 DF003 DF004 DF005 DF007 DF011 DF012 DF101 DF300 DF500 DF502"
     assert error_rule_codes() == expected.split()
     binding = error_rule_codes(lambda rule: rule.binding_equivalent)
     assert binding == [code for code, rule in RULES.items() if rule.binding_equivalent]
@@ -166,9 +167,9 @@ def test_served_422_body_is_the_full_lint_report_byte_for_byte(client, accelerat
 # DF403 analyzes the linted mapping once and memoizes the library's
 # analyses; shared facts are computed once
 # ----------------------------------------------------------------------
-def _count_calls(monkeypatch, module, attr, fail=False):
+def _count_calls(monkeypatch, module, attr, fail=None):
     """Replace ``module.attr`` by a wrapper that records each call's
-    positional arguments (and raises instead, with ``fail``)."""
+    positional arguments (and raises ``fail`` instead, when given)."""
     import importlib
 
     owner = importlib.import_module(module)
@@ -177,8 +178,8 @@ def _count_calls(monkeypatch, module, attr, fail=False):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        if fail:
-            raise RuntimeError("analyzer bug")
+        if fail is not None:
+            raise fail
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, counted)
@@ -232,18 +233,27 @@ def test_comm_fact_is_computed_once_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "module, attr, prefix",
+    "module, attr, prefix, error",
     [
-        ("repro.capacity", "classify_roofline", "DF50"),
-        ("repro.comm.classify", "classify_level", "DF30"),
+        ("repro.capacity", "classify_roofline", "DF50", BindingError("unbindable")),
+        ("repro.comm.classify", "classify_level", "DF30", RuntimeError("analyzer bug")),
     ],
 )
-def test_a_fact_that_raises_yields_no_diagnostic(monkeypatch, module, attr, prefix):
-    calls = _count_calls(monkeypatch, module, attr, fail=True)
+def test_a_fact_that_raises_yields_no_diagnostic(monkeypatch, module, attr, prefix, error):
+    calls = _count_calls(monkeypatch, module, attr, fail=error)
     report = lint_dataflow(stock_dataflows()["KC-P"], build("vgg16").layer("CONV2"), CONSTRAINED)
     assert len(calls) == 1
     # DF302 reads the binding, not the comm classification.
     assert [code for code in _codes(report, prefix) if code != "DF302"] == []
+
+
+def test_an_analyzer_bug_in_the_capacity_fact_propagates(monkeypatch):
+    """Only a mapping the model rejects (a ``DataflowError``) means "no
+    certificate"; any other exception is a bug and must not read as a
+    clean lint."""
+    _count_calls(monkeypatch, "repro.capacity", "classify_roofline", fail=RuntimeError("bug"))
+    with pytest.raises(RuntimeError, match="bug"):
+        lint_dataflow(stock_dataflows()["KC-P"], build("vgg16").layer("CONV2"), CONSTRAINED)
 
 
 # ----------------------------------------------------------------------
