@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.capacity.bounds import CapacityBounds, _bind, _bounds_from
 from repro.engines.analysis import compute_delay, egress_volume, ingress_volume
-from repro.engines.binding import BoundLevel
+from repro.engines.binding import BoundDataflow, BoundLevel
 from repro.engines.reuse import analyze_level_reuse, build_odometer
+from repro.engines.tensor_analysis import analyze_tensors
 from repro.dataflow.dataflow import Dataflow
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import Layer
@@ -96,14 +97,23 @@ def _odometer_states(level: BoundLevel) -> int:
 
 
 def classify_roofline(
-    dataflow: Dataflow, layer: Layer, accelerator: Accelerator
+    dataflow: Dataflow,
+    layer: Layer,
+    accelerator: Accelerator,
+    bound: Optional[BoundDataflow] = None,
 ) -> RooflineCertificate:
     """Classify one triple as compute/bandwidth-bound or infeasible.
 
-    Raises whatever :func:`bind_dataflow` raises when the mapping cannot
-    bind (no certificate exists for an unbindable mapping).
+    ``bound`` is the mapping already bound to ``layer`` and
+    ``accelerator``, when the caller has it (the lint context does);
+    without it the mapping is bound here. Raises whatever
+    :func:`bind_dataflow` raises when the mapping cannot bind (no
+    certificate exists for an unbindable mapping).
     """
-    bound, tensors = _bind(dataflow, layer, accelerator)
+    if bound is None:
+        bound, tensors = _bind(dataflow, layer, accelerator)
+    else:
+        tensors = analyze_tensors(layer, bound.row_rep, bound.col_rep)
     bounds = _bounds_from(bound, tensors, accelerator, dataflow.name, layer.name)
 
     # Compute floor: the engine's MAC delay per innermost state, odometer

@@ -64,6 +64,7 @@ from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.library import stock_dataflows, table3_dataflows
 from repro.dataflow.parser import parse_dataflow
 from repro.engines.analysis import analyze_layer
+from repro.errors import DataflowError
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.zoo import MODELS, build
 from repro.screens import OPTIONS, enabled_rejects
@@ -359,7 +360,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.comm or args.capacity:
             try:
                 dataflow = parse_dataflow(text, name=args.dataflow)
-            except Exception:
+            except DataflowError:
                 dataflow = None  # syntax errors: report covers it below
     if args.format == "json":
         print(report.to_json())

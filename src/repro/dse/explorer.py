@@ -22,8 +22,9 @@ For every (PEs, bandwidth, dataflow-variant) triple the explorer:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
@@ -104,6 +105,21 @@ class DSEResult:
     energy_optimal: Optional[DesignPoint]
     edp_optimal: Optional[DesignPoint]
 
+    @classmethod
+    def from_points(
+        cls, points: Sequence[DesignPoint], statistics: DSEStatistics
+    ) -> "DSEResult":
+        """The result of ``points`` (in enumeration order) with their
+        first-achiever optima: ``max``/``min`` keep the first of equal
+        values, so ties resolve as a sequential sweep would."""
+        return cls(
+            points=tuple(points),
+            statistics=statistics,
+            throughput_optimal=max(points, key=attrgetter("throughput"), default=None),
+            energy_optimal=min(points, key=attrgetter("energy"), default=None),
+            edp_optimal=min(points, key=attrgetter("edp"), default=None),
+        )
+
     def pareto(self) -> List[DesignPoint]:
         """Throughput/energy Pareto front of the valid designs."""
         return pareto_front(
@@ -164,22 +180,26 @@ def explore(
     explored = pruned = 0
 
     def size(
-        accelerator: Accelerator, l1_req: int, l2_req: int
-    ) -> Optional[Tuple[Accelerator, float, float]]:
-        """The requirement-sized design, its area and power; ``None`` over budget."""
-        design = replace(accelerator, l1_size=max(l1_req, 1), l2_size=max(l2_req, 1))
-        area = area_model.area(design)
-        power = area_model.power(design)
+        num_pes: int, bandwidth: int, l1_req: int, l2_req: int
+    ) -> Optional[Tuple[int, int, float, float]]:
+        """The requirement-sized L1/L2 bytes, area and power; ``None``
+        over budget."""
+        l1_size = max(l1_req, 1)
+        l2_size = max(l2_req, 1)
+        area = area_model.area_of(num_pes, bandwidth, l1_size, l2_size)
+        power = area_model.power_of(num_pes, bandwidth, l1_size, l2_size)
         if area > area_budget or power > power_budget:
             return None
-        return design, area, power
+        return l1_size, l2_size, area, power
 
     screens = ScreenRunner(
         "dse",
         ScreenContext(
             layer,
             reduction_support=spatial_reduction,
-            over_budget=lambda accelerator, l1, l2: size(accelerator, l1, l2) is None,
+            over_budget=lambda accelerator, l1, l2: (
+                size(accelerator.num_pes, accelerator.noc.bandwidth, l1, l2) is None
+            ),
         ),
         {
             "static_lint": static_lint,
@@ -225,31 +245,9 @@ def explore(
                     else:
                         candidates.append((label, dataflow, accelerator))
 
-    def fold_point(candidate: _Candidate, report) -> Optional[DesignPoint]:
-        """Size the buffers, apply the budget, build the design point."""
-        label, dataflow, accelerator = candidate
-        sized = size(accelerator, report.l1_buffer_req, report.l2_buffer_req)
-        if sized is None:
-            return None
-        design, area, power = sized
-        return DesignPoint(
-            num_pes=design.num_pes,
-            noc_bandwidth=design.noc.bandwidth,
-            dataflow_name=dataflow.name,
-            tile_label=label,
-            l1_size=design.l1_size,
-            l2_size=design.l2_size,
-            area=area,
-            power=power,
-            throughput=report.throughput,
-            runtime=report.runtime,
-            energy=report.energy_total,
-        )
-
     # ------------------------------------------------------------------
     # Phase 2 — evaluate one representative per equivalence class in one
-    # batch, then replay the twins. Valid points are collected with
-    # their enumeration index so phase 3 folds them in grid order.
+    # batch; phase 3 replays the twins from their representatives.
     # ------------------------------------------------------------------
     replay_of: Dict[int, int] = {}
     if equiv_prune:
@@ -274,42 +272,55 @@ def explore(
             )
             for _, (_, dataflow, accelerator) in representatives
         )
-    indexed_points: List[Tuple[int, DesignPoint]] = []
-    outcome_at: Dict[int, EvalOutcome] = {}
-    evaluated = 0
-    with obs.span("dse.fold"):
-        for (index, candidate), outcome in zip(representatives, batch):
-            outcome_at[index] = outcome
-            if outcome.ok:
-                evaluated += 1
-                point = fold_point(candidate, outcome.report)
-                if point is not None:
-                    indexed_points.append((index, point))
-        for index, representative in replay_of.items():
-            outcome = outcome_at[representative]
-            if outcome.ok:
-                point = fold_point(candidates[index], outcome.report)
-                if point is not None:
-                    indexed_points.append((index, point))
 
     # ------------------------------------------------------------------
-    # Phase 3 — fold the surviving valid points in their original
-    # enumeration order: the leaders are first-achiever-stable, so this
-    # reproduces the exhaustive sweep's optima exactly.
+    # Phase 3 — fold every answered point in enumeration order from its
+    # outcome's figures (a vector lane's report is never built): size the
+    # buffers, apply the budget, build the design point. The leaders are
+    # first-achiever-stable, so this reproduces the exhaustive sweep's
+    # optima exactly.
     # ------------------------------------------------------------------
-    indexed_points.sort(key=lambda pair: pair[0])
     points: List[DesignPoint] = []
-    best: Dict[str, Optional[DesignPoint]] = {"throughput": None, "energy": None, "edp": None}
-    for _, point in indexed_points:
-        points.append(point)
-        _update_leaders(best, point)
+    with obs.span("dse.fold"):
+        outcome_at: List[Optional[EvalOutcome]] = [None] * len(candidates)
+        for (index, _), outcome in zip(representatives, batch):
+            outcome_at[index] = outcome
+        for index, representative in replay_of.items():
+            outcome_at[index] = outcome_at[representative]
+        for (label, dataflow, accelerator), outcome in zip(candidates, outcome_at):
+            assert outcome is not None
+            if not outcome.ok:
+                continue
+            runtime, throughput, energy, l1_req, l2_req = outcome.figures
+            num_pes = accelerator.num_pes
+            bandwidth = accelerator.noc.bandwidth
+            sized = size(num_pes, bandwidth, l1_req, l2_req)
+            if sized is None:
+                continue
+            l1_size, l2_size, area, power = sized
+            points.append(
+                DesignPoint(
+                    num_pes=num_pes,
+                    noc_bandwidth=bandwidth,
+                    dataflow_name=dataflow.name,
+                    tile_label=label,
+                    l1_size=l1_size,
+                    l2_size=l2_size,
+                    area=area,
+                    power=power,
+                    throughput=throughput,
+                    runtime=runtime,
+                    energy=energy,
+                )
+            )
 
     # The ExploreResult invariant, explicit: every grid point is
     # accounted for exactly once — budget-pruned, rejected by a screen,
     # replayed, or answered by the cost model (evaluated successfully or
     # failed).
     rejects = screens.finish()
-    failures = batch.stats.submitted - evaluated
+    failures = batch.stats.failures
+    evaluated = batch.stats.submitted - failures
     equiv_replays = len(replay_of)
     budget_pruned = pruned - sum(rejects.values())
     assert explored == space.size, (
@@ -337,19 +348,4 @@ def explore(
         equiv_replays=equiv_replays,
         **rejects,
     )
-    return DSEResult(
-        points=tuple(points),
-        statistics=statistics,
-        throughput_optimal=best["throughput"],
-        energy_optimal=best["energy"],
-        edp_optimal=best["edp"],
-    )
-
-
-def _update_leaders(best: dict, point: DesignPoint) -> None:
-    if best["throughput"] is None or point.throughput > best["throughput"].throughput:
-        best["throughput"] = point
-    if best["energy"] is None or point.energy < best["energy"].energy:
-        best["energy"] = point
-    if best["edp"] is None or point.edp < best["edp"].edp:
-        best["edp"] = point
+    return DSEResult.from_points(points, statistics)

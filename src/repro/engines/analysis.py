@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.engines.binding import BoundDataflow, BoundLevel, bind_dataflow
 from repro.engines.reuse import LevelReuse, TensorTraffic, analyze_level_reuse
@@ -128,7 +128,34 @@ class NetworkAnalysis:
         return totals
 
 
-@dataclass(frozen=True)
+#: What a sweep folds from one evaluated point: ``(runtime, throughput,
+#: energy_total, l1_buffer_req, l2_buffer_req)``, each equal (value and
+#: type) to the report's field or property of that name.
+Figures = Tuple[float, float, float, int, int]
+
+
+def figures_of(report: LayerAnalysis) -> Figures:
+    """The :data:`Figures` of a built report."""
+    return (
+        report.runtime,
+        report.throughput,
+        report.energy_total,
+        report.l1_buffer_req,
+        report.l2_buffer_req,
+    )
+
+
+class ReportSource(Protocol):
+    """A report built on first read: one lane of a vector-engine block."""
+
+    dataflow_name: str
+    figures: Figures
+
+    def report(self) -> LayerAnalysis: ...
+
+    def renamed(self, dataflow_name: str) -> "ReportSource": ...
+
+
 class EvalOutcome:
     """The result of evaluating one point: a report or a model rejection.
 
@@ -138,19 +165,107 @@ class EvalOutcome:
     backend instead of becoming an outcome. ``cached`` tells whether the
     outcome came from the memoization cache rather than a fresh
     cost-model run.
+
+    A success holds its report, or a :class:`ReportSource` (see
+    :meth:`deferred`) that builds it the first time :attr:`report` is
+    read. ``ok``, :attr:`figures`, :attr:`dataflow_name`,
+    :meth:`as_cached`, :meth:`uncached` and :meth:`renamed` never build
+    it; ``report``, equality and pickling do.
     """
 
-    report: Optional[LayerAnalysis]
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-    cached: bool = False
+    __slots__ = ("_report", "_source", "error_type", "error_message", "cached")
+
+    def __init__(
+        self,
+        report: Optional[LayerAnalysis],
+        error_type: Optional[str] = None,
+        error_message: Optional[str] = None,
+        cached: bool = False,
+    ) -> None:
+        self._report = report
+        self._source: Optional[ReportSource] = None
+        self.error_type = error_type
+        self.error_message = error_message
+        self.cached = cached
+
+    @classmethod
+    def deferred(cls, source: ReportSource, cached: bool = False) -> "EvalOutcome":
+        """A success whose report ``source`` builds on first read."""
+        outcome = cls.__new__(cls)
+        outcome._report = None
+        outcome._source = source
+        outcome.error_type = None
+        outcome.error_message = None
+        outcome.cached = cached
+        return outcome
+
+    @property
+    def report(self) -> Optional[LayerAnalysis]:
+        source = self._source
+        return self._report if source is None else source.report()
 
     @property
     def ok(self) -> bool:
-        return self.report is not None
+        return self._report is not None or self._source is not None
+
+    @property
+    def figures(self) -> Figures:
+        """The folded figures of a success, without building its report."""
+        source = self._source
+        if source is not None:
+            return source.figures
+        assert self._report is not None, "a rejection has no figures"
+        return figures_of(self._report)
+
+    @property
+    def dataflow_name(self) -> Optional[str]:
+        """The report's mapping name (``None`` for a rejection)."""
+        source = self._source
+        if source is not None:
+            return source.dataflow_name
+        return self._report.dataflow_name if self._report is not None else None
+
+    def _with(self, cached: bool) -> "EvalOutcome":
+        if self._source is not None:
+            return EvalOutcome.deferred(self._source, cached)
+        return EvalOutcome(self._report, self.error_type, self.error_message, cached)
 
     def as_cached(self) -> "EvalOutcome":
-        return self if self.cached else replace(self, cached=True)
+        return self if self.cached else self._with(True)
+
+    def uncached(self) -> "EvalOutcome":
+        return self._with(False) if self.cached else self
+
+    def renamed(self, dataflow_name: str) -> "EvalOutcome":
+        """This success under another (equivalent) mapping's name — the
+        only report field the equivalence quotient changes."""
+        source = self._source
+        if source is not None:
+            return EvalOutcome.deferred(source.renamed(dataflow_name), self.cached)
+        assert self._report is not None, "a rejection has no mapping name"
+        return EvalOutcome(
+            replace(self._report, dataflow_name=dataflow_name), cached=self.cached
+        )
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.report, self.error_type, self.error_message, self.cached)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvalOutcome):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (EvalOutcome, self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"EvalOutcome(report={self.report!r}, error_type={self.error_type!r}, "
+            f"error_message={self.error_message!r}, cached={self.cached!r})"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engines.analysis import EvalOutcome, analyze_layer
@@ -250,7 +250,7 @@ class BatchEvaluator:
                             accelerators,
                             first.energy_model,
                             lowered=lowered,
-                        )
+                        ).outcomes
                     except VectorLoweringError:
                         obs.inc("exec.vector.lowering_failures")
             if group_outcomes is None:
@@ -301,22 +301,14 @@ class BatchEvaluator:
                 for index, (point, key) in enumerate(zip(points, batch_keys)):
                     hit = self._cache.get(key)
                     if hit is not None:
-                        if (
-                            hit.report is not None
-                            and hit.report.dataflow_name != point.dataflow.name
-                        ):
+                        if hit.ok and hit.dataflow_name != point.dataflow.name:
                             # Shared canonical entry computed under an
                             # equivalent twin's name: restore this
                             # point's name (the only field the
                             # equivalence quotient legitimately changes).
                             equiv_twin_hits += 1
                             obs.inc("exec.equiv.twin_hits")
-                            hit = EvalOutcome(
-                                report=replace(
-                                    hit.report, dataflow_name=point.dataflow.name
-                                ),
-                                cached=True,
-                            )
+                            hit = hit.renamed(point.dataflow.name)
                         outcomes[index] = hit
                     else:
                         miss_indices.append(index)
@@ -411,16 +403,9 @@ class BatchEvaluator:
         for index, leader in follower_of.items():
             leader_outcome = outcomes[leader]
             assert leader_outcome is not None
-            point = points[index]
-            if (
-                leader_outcome.report is not None
-                and leader_outcome.report.dataflow_name != point.dataflow.name
-            ):
-                leader_outcome = EvalOutcome(
-                    report=replace(
-                        leader_outcome.report, dataflow_name=point.dataflow.name
-                    )
-                )
+            name = points[index].dataflow.name
+            if leader_outcome.ok and leader_outcome.dataflow_name != name:
+                leader_outcome = leader_outcome.renamed(name)
             outcomes[index] = leader_outcome
 
         if self._cache is not None:

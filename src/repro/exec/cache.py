@@ -518,12 +518,12 @@ class AnalysisCache:
         return None
 
     def put(self, key: str, outcome: EvalOutcome) -> None:
-        """Memoize ``outcome`` (successes and model rejections alike)."""
-        outcome = EvalOutcome(
-            report=outcome.report,
-            error_type=outcome.error_type,
-            error_message=outcome.error_message,
-        )
+        """Memoize ``outcome`` (successes and model rejections alike).
+
+        A vector lane is stored as it is, unbuilt; only the disk tier's
+        serialization builds its report.
+        """
+        outcome = outcome.uncached()
         self._remember(key, outcome)
         if self.disk_dir is not None:
             self._write_disk(key, outcome)

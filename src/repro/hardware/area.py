@@ -42,9 +42,19 @@ class AreaModel:
 
     def area(self, accelerator: Accelerator) -> float:
         """Total area in mm^2; buffers must be concrete (not None)."""
-        l1_kb, l2_kb = _buffer_kb(accelerator)
-        pes = accelerator.num_pes
-        bandwidth = accelerator.noc.bandwidth
+        l1_size, l2_size = _buffer_sizes(accelerator)
+        return self.area_of(accelerator.num_pes, accelerator.noc.bandwidth, l1_size, l2_size)
+
+    def power(self, accelerator: Accelerator) -> float:
+        """Total power in mW; buffers must be concrete (not None)."""
+        l1_size, l2_size = _buffer_sizes(accelerator)
+        return self.power_of(accelerator.num_pes, accelerator.noc.bandwidth, l1_size, l2_size)
+
+    def area_of(self, pes: int, bandwidth: int, l1_size: int, l2_size: int) -> float:
+        """Area in mm^2 of ``pes`` PEs with ``l1_size`` bytes each, an
+        ``l2_size``-byte L2 and a ``bandwidth``-wide NoC."""
+        l1_kb = l1_size / 1024.0
+        l2_kb = l2_size / 1024.0
         return (
             self.pe_area * pes
             + self.sram_area_per_kb * (l1_kb * pes + l2_kb)
@@ -52,11 +62,10 @@ class AreaModel:
             + self.arbiter_area_coeff * bandwidth * pes * pes
         )
 
-    def power(self, accelerator: Accelerator) -> float:
-        """Total power in mW; buffers must be concrete (not None)."""
-        l1_kb, l2_kb = _buffer_kb(accelerator)
-        pes = accelerator.num_pes
-        bandwidth = accelerator.noc.bandwidth
+    def power_of(self, pes: int, bandwidth: int, l1_size: int, l2_size: int) -> float:
+        """Power in mW of the design :meth:`area_of` prices."""
+        l1_kb = l1_size / 1024.0
+        l2_kb = l2_size / 1024.0
         return (
             self.pe_power * pes
             + self.sram_power_per_kb * (l1_kb * pes + l2_kb)
@@ -85,13 +94,13 @@ class AreaModel:
         )
 
 
-def _buffer_kb(accelerator: Accelerator) -> "tuple[float, float]":
+def _buffer_sizes(accelerator: Accelerator) -> "tuple[int, int]":
     if accelerator.l1_size is None or accelerator.l2_size is None:
         raise ValueError(
             "area/power need concrete buffer sizes; size the accelerator "
             "from the analysis' buffer requirements first"
         )
-    return accelerator.l1_size / 1024.0, accelerator.l2_size / 1024.0
+    return accelerator.l1_size, accelerator.l2_size
 
 
 #: The default model used by the DSE unless a caller overrides it.

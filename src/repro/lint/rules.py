@@ -1492,14 +1492,18 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
 def _capacity_certificates(
     ctx: RuleContext,
 ) -> "Optional[Tuple[CapacityBounds, RooflineCertificate]]":
-    """The (bounds, roofline) pair for this mapping, or ``None``."""
+    """The (bounds, roofline) pair for this mapping, or ``None``.
+
+    Reuses the context's binding when it has one; otherwise the roofline
+    binds the mapping itself, and an unbindable mapping has none.
+    """
     flow = ctx.flow
     if flow is None or ctx.layer is None or ctx.accelerator is None:
         return None
     from repro.capacity import classify_roofline
 
     try:
-        roofline = classify_roofline(flow, ctx.layer, ctx.accelerator)
+        roofline = classify_roofline(flow, ctx.layer, ctx.accelerator, bound=ctx.bound)
     except DataflowError:
         return None
     return roofline.bounds, roofline

@@ -185,7 +185,7 @@ def resolve_layers(model: str, layer: Optional[str]) -> List[Layer]:
         return list(network.layers)
     try:
         return [network.layer(layer)]
-    except Exception:
+    except KeyError:
         names = [lyr.name for lyr in network.layers]
         raise _bad("layer", f"unknown layer of {model!r} (choose from {names})")
 

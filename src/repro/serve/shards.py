@@ -24,10 +24,10 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.dse.explorer import DSEResult, DSEStatistics, explore, _update_leaders
+from repro.dse.explorer import DSEResult, DSEStatistics, explore
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.exec import AnalysisCache
 from repro.model.layer import Layer
@@ -98,13 +98,6 @@ def merge_shard_results(
     points: List[DesignPoint] = []
     for result in results:
         points.extend(result.points)
-    best: Dict[str, Optional[DesignPoint]] = {
-        "throughput": None,
-        "energy": None,
-        "edp": None,
-    }
-    for point in points:
-        _update_leaders(best, point)
     # Every integer statistic is a count over the grid, so shard counts add.
     totals = {
         field.name: sum(getattr(result.statistics, field.name) for result in results)
@@ -120,13 +113,7 @@ def merge_shard_results(
         eval_wall_seconds=eval_wall,
         **totals,
     )
-    return DSEResult(
-        points=tuple(points),
-        statistics=statistics,
-        throughput_optimal=best["throughput"],
-        energy_optimal=best["energy"],
-        edp_optimal=best["edp"],
-    )
+    return DSEResult.from_points(points, statistics)
 
 
 def sharded_explore(

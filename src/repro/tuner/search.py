@@ -11,7 +11,7 @@ from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.engines.analysis import LayerAnalysis
 from repro.errors import BindingError, DataflowError
-from repro.exec import AnalysisCache, BatchEvaluator, BatchKeyer, EvalOutcome, EvalPoint
+from repro.exec import AnalysisCache, BatchEvaluator, BatchKeyer, EvalPoint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.lint.engine import static_errors  # noqa: F401 - traced by name (perfbench/ledger.py)
@@ -248,11 +248,8 @@ def tune_layer(
             outcome = outcome_at.get(index)
             if outcome is None:
                 outcome = outcome_at[replay_of[index]]
-                if outcome.ok and outcome.report.dataflow_name != dataflow.name:
-                    outcome = EvalOutcome(
-                        report=replace(outcome.report, dataflow_name=dataflow.name),
-                        cached=outcome.cached,
-                    )
+                if outcome.ok and outcome.dataflow_name != dataflow.name:
+                    outcome = outcome.renamed(dataflow.name)
             if not outcome.ok:
                 rejected += 1
                 continue

@@ -13,13 +13,15 @@ Public API:
   the cost model against a grid template (everything but the two grid
   axes folded to constants).
 - :func:`evaluate_grid` — run one lowered group over concrete grid
-  points, returning per-point :class:`~repro.engines.analysis.EvalOutcome`.
+  points into a :class:`GridBlock`: one
+  :class:`~repro.engines.analysis.EvalOutcome` per point, whose report
+  is built from the block's columns on first read.
 - :class:`VectorLoweringError` — raised for groups outside the
   expressible space; the batch backend then falls back to the scalar
   engines point by point.
 """
 
-from repro.vector.engine import evaluate_grid
+from repro.vector.engine import GridBlock, evaluate_grid
 from repro.vector.lower import (
     LoweredGroup,
     VectorLoweringError,
@@ -29,6 +31,7 @@ from repro.vector.lower import (
 )
 
 __all__ = [
+    "GridBlock",
     "LoweredGroup",
     "VectorLoweringError",
     "accelerator_template",

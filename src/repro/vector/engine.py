@@ -3,8 +3,10 @@
 Given a :class:`~repro.vector.lower.LoweredGroup` and the two grid axes
 (``num_pes`` and NoC bandwidth as integer arrays), this module runs the
 whole reuse/performance/accounting pipeline with NumPy arrays in place
-of per-point scalars and materializes one
-:class:`~repro.engines.analysis.LayerAnalysis` per grid point.
+of per-point scalars into a :class:`GridBlock`: the arrays, plus the
+figures a sweep folds per grid point. The block builds one
+:class:`~repro.engines.analysis.LayerAnalysis` per grid point only when
+a point's report is first read.
 
 Parity contract — the reason this file looks the way it does: every
 array expression replicates the *exact* scalar arithmetic of
@@ -22,12 +24,19 @@ bit-identical agreement, not just tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engines.analysis import EvalOutcome, LayerAnalysis, LevelStats, buffering_factor
+from repro.engines.analysis import (
+    EvalOutcome,
+    Figures,
+    LayerAnalysis,
+    LevelStats,
+    buffering_factor,
+)
 from repro.engines.reuse import LevelReuse
 from repro.engines.tensor_analysis import TensorInfo
 from repro.hardware.accelerator import Accelerator
@@ -661,10 +670,6 @@ def _column(value: Value, n: int) -> List[Any]:
     return [value] * n
 
 
-def _dict_columns(values: Dict[str, Value], n: int) -> Dict[str, List[Any]]:
-    return {name: _column(value, n) for name, value in values.items()}
-
-
 _ROW_BUILDERS: Dict[Tuple[str, ...], Any] = {}
 
 
@@ -673,7 +678,7 @@ def _row_builder(keys: Tuple[str, ...]) -> Any:
 
     A dict literal inside a generated list comprehension beats
     ``dict(zip(keys, row))`` by ~2x (single BUILD_MAP opcode, no zip
-    object per row) — and this is the hottest loop of materialization.
+    object per row) — and this is the hottest loop of report building.
     Builders are cached per key tuple, which recur across layers.
     """
     builder = _ROW_BUILDERS.get(keys)
@@ -705,51 +710,21 @@ def _dict_rows(values: Dict[str, Value], n: int) -> List[Dict[str, Any]]:
     return builder(*(_column(value, n) for value in values.values()))
 
 
+def _field_column(value: Any, n: int) -> List[Any]:
+    """One report field as a per-point list: a dict of Values becomes
+    one dict per point, and a Python list is already a typed column."""
+    if isinstance(value, dict):
+        return _dict_rows(value, n)
+    if isinstance(value, list):
+        return value
+    return _column(value, n)
+
+
 def _typed_column(values: Value, is_int: Value, n: int) -> List[Any]:
     """A column with the scalar engine's per-point int/float type restored."""
     columns = _column(values, n)
     flags = _column(is_int, n)
     return [int(v) if f else v for v, f in zip(columns, flags)]
-
-
-_LEVEL_STATS_FIELDS: Tuple[str, ...] = (
-    "index",
-    "runtime_sweep",
-    "compute_bound_fraction",
-    "bottleneck",
-    "ingress_per_sweep",
-    "delivered_per_sweep",
-    "egress_per_sweep",
-    "psum_readback_per_sweep",
-    "upstream_buffer_req",
-    "peak_bw_elems_per_cycle",
-)
-
-_LAYER_ANALYSIS_FIELDS: Tuple[str, ...] = (
-    "layer_name",
-    "dataflow_name",
-    "num_pes",
-    "runtime",
-    "total_ops",
-    "utilization",
-    "level_stats",
-    "l2_reads",
-    "l2_writes",
-    "l1_reads",
-    "l1_writes",
-    "intermediate_reads",
-    "intermediate_writes",
-    "dram_reads",
-    "dram_writes",
-    "l1_buffer_req",
-    "l2_buffer_req",
-    "intermediate_buffer_reqs",
-    "noc_bw_req_elems",
-    "noc_bw_req_gbps",
-    "reuse_factors",
-    "max_reuse_factors",
-    "energy_breakdown",
-)
 
 
 def _make(
@@ -766,11 +741,95 @@ def _make(
     return obj
 
 
+class GridBlock:
+    """One evaluated grid group, kept as columns.
+
+    ``outcomes`` holds one :class:`EvalOutcome` per input accelerator,
+    in input order. A feasible point's outcome is a lane of the block:
+    its :data:`~repro.engines.analysis.Figures` are computed with the
+    block, and the block's reports are built, all in one transposing
+    pass, only when a lane's ``report`` is first read — at most once per
+    lane, under the block's lock, so shard threads may share lanes.
+    ``fields`` maps every report field to a Value (``level_stats`` to
+    one field map per level), in ``LayerAnalysis`` field order; a Python
+    list there is a column already in the scalar engine's per-point
+    types.
+    """
+
+    def __init__(self, fields: Dict[str, Any], figures: List[Figures]) -> None:
+        self.outcomes: List[EvalOutcome] = []
+        self.figures = figures
+        self.lock = threading.Lock()
+        self._fields = fields
+        self._reports: Optional[List[LayerAnalysis]] = None
+
+    def reports(self) -> List[LayerAnalysis]:
+        """Every feasible point's report, built on the first call."""
+        reports = self._reports
+        if reports is None:
+            with self.lock:
+                if self._reports is None:
+                    self._reports = self._build_reports()
+                reports = self._reports
+        return reports
+
+    def _build_reports(self) -> List[LayerAnalysis]:
+        # Columns are transposed into per-point rows with C-level zip,
+        # then zipped straight into field dicts: no per-point Python
+        # comprehension in the loop.
+        n = len(self.figures)
+        columns = dict(self._fields)
+        level_rows = [
+            [
+                _make(LevelStats, dict(zip(level, row)))
+                for row in zip(*(_field_column(value, n) for value in level.values()))
+            ]
+            for level in self._fields["level_stats"]
+        ]
+        columns["level_stats"] = list(zip(*level_rows))
+        names = tuple(columns)
+        return [
+            _make(LayerAnalysis, dict(zip(names, row)))
+            for row in zip(*(_field_column(value, n) for value in columns.values()))
+        ]
+
+
+class _Lane:
+    """One feasible point of a :class:`GridBlock` (a ``ReportSource``).
+
+    A lane under an equivalent twin's name (:meth:`renamed`) copies the
+    block's report once, under the block's lock, with its own name.
+    """
+
+    __slots__ = ("block", "position", "dataflow_name", "figures", "_renamed")
+
+    def __init__(
+        self, block: GridBlock, position: int, dataflow_name: str, figures: Figures
+    ) -> None:
+        self.block = block
+        self.position = position
+        self.dataflow_name = dataflow_name
+        self.figures = figures
+        self._renamed: Optional[LayerAnalysis] = None
+
+    def report(self) -> LayerAnalysis:
+        report = self.block.reports()[self.position]
+        if report.dataflow_name == self.dataflow_name:
+            return report
+        with self.block.lock:
+            if self._renamed is None:
+                self._renamed = replace(report, dataflow_name=self.dataflow_name)
+            return self._renamed
+
+    def renamed(self, dataflow_name: str) -> "_Lane":
+        return _Lane(self.block, self.position, dataflow_name, self.figures)
+
+
 def _evaluate_feasible(
     lowered: LoweredGroup,
     num_pes: np.ndarray,
     bandwidth: np.ndarray,
-) -> List[LayerAnalysis]:
+) -> GridBlock:
     """Evaluate every feasible grid point of one lowered group."""
     layer = lowered.layer
     n = int(num_pes.shape[0])
@@ -963,65 +1022,64 @@ def _evaluate_feasible(
     )
 
     # ------------------------------------------------------------------
-    # Materialize one LayerAnalysis per point. Columns are transposed
-    # into per-point rows with C-level zip, then zipped straight into
-    # field dicts — this loop dominates whole-grid wall time, so no
-    # per-point Python comprehensions.
+    # The block: every report field as a Value, plus the figures a sweep
+    # folds, per lane. ``energy_total`` is the builtin ``sum`` of each
+    # lane's breakdown in breakdown order, exactly as the report sums it.
     # ------------------------------------------------------------------
-    level_rows: List[List[LevelStats]] = []
-    for stats in level_stats:
-        cbf_col = _column(stats.compute_bound_fraction, n)
-        rows = [
-            _make(LevelStats, dict(zip(_LEVEL_STATS_FIELDS, row)))
-            for row in zip(
-                [stats.index] * n,
-                _typed_column(stats.runtime_sweep, stats.runtime_is_int, n),
-                cbf_col,
-                ["compute" if c >= 0.5 else "communication" for c in cbf_col],
-                _dict_rows(stats.ingress_per_sweep, n),
-                _dict_rows(stats.delivered_per_sweep, n),
-                _column(stats.egress_per_sweep, n),
-                _column(stats.psum_readback_per_sweep, n),
-                _column(stats.upstream_buffer_req, n),
-                _column(stats.peak_bw_elems_per_cycle, n),
-            )
-        ]
-        level_rows.append(rows)
-    stats_tuples = list(zip(*level_rows))
-
-    layer_name = layer.name
-    dataflow_name = lowered.dataflow.name
+    runtime_column = _typed_column(runtime, runtime_is_int, n)
     l1_req_int = int(l1_req)
-    inter_reqs = tuple(intermediate_reqs)
-
-    return [
-        _make(LayerAnalysis, dict(zip(_LAYER_ANALYSIS_FIELDS, row)))
-        for row in zip(
-            [layer_name] * n,
-            [dataflow_name] * n,
-            num_pes.tolist(),
-            _typed_column(runtime, runtime_is_int, n),
-            [total_ops] * n,
-            _column(utilization, n),
-            stats_tuples,
-            _dict_rows(l2_reads, n),
-            _dict_rows(l2_writes, n),
-            _dict_rows(l1_reads, n),
-            _dict_rows(l1_writes, n),
-            _column(intermediate_reads, n),
-            _column(intermediate_writes, n),
-            _dict_rows(dram_reads, n),
-            _dict_rows(dram_writes, n),
+    figures = list(
+        zip(
+            runtime_column,
+            [total_ops / value if value else 0.0 for value in runtime_column],
+            map(sum, zip(*(_column(value, n) for value in energy_breakdown.values()))),
             [l1_req_int] * n,
             _column(l2_req, n),
-            [inter_reqs] * n,
-            _column(noc_bw_req, n),
-            _column(noc_bw_req_gbps, n),
-            _dict_rows(reuse_factors, n),
-            _dict_rows(max_reuse_factors, n),
-            _dict_rows(energy_breakdown, n),
         )
+    )
+    levels = [
+        {
+            "index": stats.index,
+            "runtime_sweep": _typed_column(stats.runtime_sweep, stats.runtime_is_int, n),
+            "compute_bound_fraction": stats.compute_bound_fraction,
+            "bottleneck": _where(
+                stats.compute_bound_fraction >= 0.5, "compute", "communication"
+            ),
+            "ingress_per_sweep": stats.ingress_per_sweep,
+            "delivered_per_sweep": stats.delivered_per_sweep,
+            "egress_per_sweep": stats.egress_per_sweep,
+            "psum_readback_per_sweep": stats.psum_readback_per_sweep,
+            "upstream_buffer_req": stats.upstream_buffer_req,
+            "peak_bw_elems_per_cycle": stats.peak_bw_elems_per_cycle,
+        }
+        for stats in level_stats
     ]
+    fields: Dict[str, Any] = {
+        "layer_name": layer.name,
+        "dataflow_name": lowered.dataflow.name,
+        "num_pes": num_pes,
+        "runtime": runtime_column,
+        "total_ops": total_ops,
+        "utilization": utilization,
+        "level_stats": levels,
+        "l2_reads": l2_reads,
+        "l2_writes": l2_writes,
+        "l1_reads": l1_reads,
+        "l1_writes": l1_writes,
+        "intermediate_reads": intermediate_reads,
+        "intermediate_writes": intermediate_writes,
+        "dram_reads": dram_reads,
+        "dram_writes": dram_writes,
+        "l1_buffer_req": l1_req_int,
+        "l2_buffer_req": l2_req,
+        "intermediate_buffer_reqs": tuple(intermediate_reqs),
+        "noc_bw_req_elems": noc_bw_req,
+        "noc_bw_req_gbps": noc_bw_req_gbps,
+        "reuse_factors": reuse_factors,
+        "max_reuse_factors": max_reuse_factors,
+        "energy_breakdown": energy_breakdown,
+    }
+    return GridBlock(fields, figures)
 
 
 def evaluate_grid(
@@ -1030,20 +1088,21 @@ def evaluate_grid(
     accelerators: Sequence[Accelerator],
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     lowered: Optional[LoweredGroup] = None,
-) -> List[EvalOutcome]:
-    """Evaluate one grid group; outcomes come back in input order.
+) -> GridBlock:
+    """Evaluate one grid group into a :class:`GridBlock`.
 
-    Every accelerator must share one template (all hardware fields but
-    ``num_pes`` and NoC bandwidth); pass ``lowered`` to reuse a lowering
-    across calls. Points whose PE count cannot host the dataflow's
-    cluster hierarchy come back as ``BindingError`` outcomes with the
-    exact scalar message. Raises :class:`VectorLoweringError` when the
-    group itself cannot be lowered (callers fall back to the scalar
-    engines point by point).
+    The block's ``outcomes`` come back in input order. Every accelerator
+    must share one template (all hardware fields but ``num_pes`` and NoC
+    bandwidth); pass ``lowered`` to reuse a lowering across calls.
+    Points whose PE count cannot host the dataflow's cluster hierarchy
+    come back as ``BindingError`` outcomes with the exact scalar
+    message. Raises :class:`VectorLoweringError` when the group itself
+    cannot be lowered (callers fall back to the scalar engines point by
+    point).
     """
     accelerators = list(accelerators)
     if not accelerators:
-        return []
+        return GridBlock({}, [])
     if lowered is None:
         lowered = lower_group(layer, dataflow, accelerators[0], energy_model)
     template = lowered.template
@@ -1057,37 +1116,33 @@ def evaluate_grid(
     num_pes = np.array([a.num_pes for a in accelerators], dtype=np.int64)
     bandwidth = np.array([a.noc.bandwidth for a in accelerators], dtype=np.int64)
     feasible = num_pes >= lowered.ppc
-
-    outcomes: List[Optional[EvalOutcome]] = [None] * len(accelerators)
-    if not feasible.all():
-        message = (
-            f"{dataflow.name} on {layer.name}: cluster hierarchy needs "
-            f"{lowered.ppc} PEs but only {{pes}} exist"
-        )
-        for index in np.flatnonzero(~feasible):
-            outcomes[index] = EvalOutcome(
-                report=None,
-                error_type="BindingError",
-                error_message=message.format(pes=int(num_pes[index])),
-            )
-
     feasible_indices = np.flatnonzero(feasible)
     if feasible_indices.size:
-        reports = _evaluate_feasible(
+        block = _evaluate_feasible(
             lowered, num_pes[feasible_indices], bandwidth[feasible_indices]
         )
-        for position, index in enumerate(feasible_indices):
-            outcomes[index] = _make(
-                EvalOutcome,
-                {
-                    "report": reports[position],
-                    "error_type": None,
-                    "error_message": None,
-                    "cached": False,
-                },
-            )
+    else:
+        block = GridBlock({}, [])
+    name = lowered.dataflow.name
+    lanes = (
+        EvalOutcome.deferred(_Lane(block, position, name, figures))
+        for position, figures in enumerate(block.figures)
+    )
+    message = (
+        f"{dataflow.name} on {layer.name}: cluster hierarchy needs "
+        f"{lowered.ppc} PEs but only {{pes}} exist"
+    )
+    block.outcomes = [
+        next(lanes)
+        if fits
+        else EvalOutcome(
+            report=None,
+            error_type="BindingError",
+            error_message=message.format(pes=pes),
+        )
+        for pes, fits in zip(num_pes.tolist(), feasible.tolist())
+    ]
+    return block
 
-    return [outcome for outcome in outcomes if outcome is not None]
 
-
-__all__ = ["evaluate_grid", "Value"]
+__all__ = ["GridBlock", "evaluate_grid", "Value"]

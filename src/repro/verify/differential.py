@@ -410,7 +410,7 @@ def _vector(
 ) -> Outcome:
     from repro.vector.engine import evaluate_grid
 
-    vector_outcomes = evaluate_grid(layer, dataflow, accelerators, DEFAULT_ENERGY_MODEL)
+    vector_outcomes = evaluate_grid(layer, dataflow, accelerators, DEFAULT_ENERGY_MODEL).outcomes
     indices: Sequence[int] = range(len(accelerators))
     if sample is not None and 0 < sample < len(accelerators):
         stride = len(accelerators) / sample
@@ -559,12 +559,8 @@ def _equiv(dataflow: Dataflow, layer: Layer, num_pes: int = 256) -> Outcome:
         if transposed is not None:
             transposed_checked = 1
             twin = _scalar_outcome(layer, transposed, accelerator)
-            if twin.report is not None:
-                twin = EvalOutcome(
-                    report=dataclasses.replace(
-                        twin.report, dataflow_name=dataflow.name
-                    )
-                )
+            if twin.ok:
+                twin = twin.renamed(dataflow.name)
             record("transposed", transposed, twin)
 
     counts = {

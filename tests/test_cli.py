@@ -108,3 +108,26 @@ class TestLint:
     def test_unknown_dataflow_exits(self):
         with pytest.raises(SystemExit):
             main(["lint", "definitely-not-a-dataflow"])
+
+    @pytest.mark.parametrize("flag", ["--comm", "--capacity"])
+    def test_syntax_error_skips_the_analysis(self, tmp_path, capsys, flag):
+        path = tmp_path / "syntax.df"
+        path.write_text("SpatialMap(1,1 K\n")
+        assert main(["lint", str(path), "--model", "alexnet",
+                     "--layer", "CONV1", flag]) == 1
+        analysis = flag.lstrip("-")
+        assert f"{analysis}: mapping does not parse" in capsys.readouterr().out
+
+    def test_a_parser_bug_propagates(self, tmp_path, monkeypatch):
+        """Only a ``DataflowError`` means "does not parse"; any other
+        exception out of the parser is a bug, not a lint finding."""
+        import repro.cli
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr(repro.cli, "parse_dataflow", broken)
+        path = tmp_path / "flow.df"
+        path.write_text("SpatialMap(1,1) K\nTemporalMap(64,64) C\n")
+        with pytest.raises(RuntimeError, match="parser bug"):
+            main(["lint", str(path), "--model", "alexnet", "--layer", "CONV1", "--comm"])

@@ -225,6 +225,28 @@ def test_capacity_fact_is_computed_once_per_lint(monkeypatch):
     assert len(calls) == 1  # DF500 and DF502 share it in the gate too
 
 
+def test_capacity_fact_reuses_the_context_binding():
+    """One full lint binds the linted mapping once for the context; the
+    capacity certificate reads that binding instead of binding again."""
+    callers = []
+    code = bind_dataflow.__code__
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            callers.append(frame.f_back.f_code.co_name)
+
+    flow, layer = stock_dataflows()["KC-P"], build("vgg16").layer("CONV2")
+    accelerator = Accelerator(num_pes=256, l1_size=64, l2_size=4096)
+    sys.setprofile(profile)
+    try:
+        report = lint_dataflow(flow, layer, accelerator)
+    finally:
+        sys.setprofile(None)
+    assert _codes(report, "DF50")
+    assert callers.count("bound") == 1
+    assert "_bind" not in callers
+
+
 def test_comm_fact_is_computed_once_per_level(monkeypatch):
     calls = _count_calls(monkeypatch, "repro.comm.classify", "classify_level")
     flow, layer = stock_dataflows()["KC-P"], build("vgg16").layer("CONV2")

@@ -91,6 +91,29 @@ class TestValidation:
             client.analyze(model="nope", layer="x", dataflow="KC-P")
         assert excinfo.value.status == 400
 
+    def test_unknown_layer_400(self, client):
+        from repro.model.zoo import build
+
+        names = [layer.name for layer in build("vgg16").layers]
+        with pytest.raises(ServeError) as excinfo:
+            client.analyze(model="vgg16", layer="CONV99", dataflow="KC-P")
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == (
+            f"bad field 'layer': unknown layer of 'vgg16' (choose from {names})"
+        )
+
+    def test_a_layer_lookup_bug_propagates(self, monkeypatch):
+        """Only the ``KeyError`` of an unknown name is a 400; any other
+        exception out of the lookup is a server bug."""
+        from repro.model.network import Network
+
+        def broken(_self, _name):
+            raise RuntimeError("lookup bug")
+
+        monkeypatch.setattr(Network, "layer", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            protocol.resolve_layers("vgg16", "CONV1")
+
     def test_unknown_field_400(self, client):
         with pytest.raises(ServeError) as excinfo:
             client.analyze(

@@ -7,7 +7,10 @@ bit-identical to the serial uncached loop, and everything it cannot
 express falls back to the scalar engines, visibly counted.
 """
 
+import dataclasses
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,16 @@ from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import spatial_map, temporal_map
 from repro.dataflow.library import kc_partitioned, yr_partitioned
-from repro.exec import BatchEvaluator, BatchStats, EvalPoint
+from repro.dse import explore
+from repro.dse.space import (
+    DesignSpace,
+    default_bandwidths,
+    default_pe_counts,
+    kc_partitioned_variants,
+    yr_partitioned_variants,
+)
+from repro.engines.analysis import analyze_layer, figures_of
+from repro.exec import AnalysisCache, BatchEvaluator, BatchStats, EvalPoint
 from repro.exec.backend import (
     EXECUTORS,
     VECTOR_AUTO_MIN_GROUP,
@@ -24,7 +36,9 @@ from repro.exec.backend import (
 )
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.layer import conv2d
+from repro.model.zoo import build
 from repro.vector import VectorLoweringError, group_key
+from repro.vector.engine import GridBlock
 from repro.verify.differential import run_vector
 
 REGRESSION_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
@@ -190,6 +204,190 @@ def test_obs_counts_vectorized_and_fallback_points(layer, grid):
         assert any(span["name"] == "exec.vector_group" for span in spans)
     finally:
         obs.configure(enabled=False, reset=True)
+
+
+# ----------------------------------------------------------------------
+# The columnar fold: explore reads vector lanes' figures, and a lane's
+# report is built only when someone reads it.
+# ----------------------------------------------------------------------
+#: The dse-grid pruner sets that run on the vector path.
+PRUNER_SETS = {
+    "none": {},
+    "equiv": {"equiv_prune": True},
+    "capacity": {"capacity_prune": True},
+    "equiv+capacity": {"equiv_prune": True, "capacity_prune": True},
+    "comm-noreduce": {"comm_prune": True, "spatial_reduction": False},
+}
+
+#: Small Fig-13 sweeps, one dse-grid layer per family on which the comm
+#: screen passes points: four tile variants plus a renamed copy of the
+#: first (an equivalence twin), 8 PE counts x 8 bandwidths.
+FAMILIES = {
+    "KC-P": (
+        ("mobilenet_v2", "BN3_1_dw"),
+        lambda: kc_partitioned_variants(c_tiles=(16, 64), spatial_tiles=((1, 1), (4, 4))),
+    ),
+    "YR-P": (
+        ("mobilenet_v2", "BN2_1_expand"),
+        lambda: yr_partitioned_variants(ck_tiles=((1, 1), (4, 4)), x_tiles=(1, 14)),
+    ),
+}
+
+
+def _fig13_sweep(family):
+    (model, layer), variants = FAMILIES[family]
+    variants = variants()
+    label, flow = variants[0]
+    variants.append((f"{label}/twin", Dataflow(name=f"{flow.name}-twin", directives=flow.directives)))
+    space = DesignSpace(default_pe_counts(max_pes=512, step=64), default_bandwidths(128), variants)
+    return build(model).layer(layer), space
+
+
+def _sweep_digest(result):
+    stats = {
+        name: value
+        for name, value in dataclasses.asdict(result.statistics).items()
+        if name not in ("elapsed_seconds", "eval_wall_seconds", "executor")
+    }
+    optima = (result.throughput_optimal, result.energy_optimal, result.edp_optimal)
+    # repr keeps each number's type: an int runtime must not turn float.
+    return repr((result.points, result.pareto(), optima, stats))
+
+
+@pytest.mark.parametrize("pruners", sorted(PRUNER_SETS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_explore_vector_matches_serial(family, pruners):
+    layer, space = _fig13_sweep(family)
+    runs = {
+        executor: explore(
+            layer, space, 16.0, 450.0, executor=executor, cache=False, **PRUNER_SETS[pruners]
+        )
+        for executor in ("serial", "vector")
+    }
+    assert runs["vector"].statistics.executor == "vector"
+    assert runs["serial"].statistics.executor == "serial"
+    assert runs["serial"].points
+    assert bool(runs["serial"].statistics.equiv_replays) == ("equiv" in pruners)
+    assert _sweep_digest(runs["vector"]) == _sweep_digest(runs["serial"])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every vector block whose reports were built, once per build."""
+    built = []
+    build_reports = GridBlock._build_reports
+
+    def counted(self):
+        built.append(self)
+        return build_reports(self)
+
+    monkeypatch.setattr(GridBlock, "_build_reports", counted)
+    return built
+
+
+def test_vector_sweep_builds_no_report_until_read(layer, grid, builds):
+    result = explore(
+        *_fig13_sweep("KC-P"),
+        16.0,
+        450.0,
+        executor="vector",
+        cache=AnalysisCache(),
+        equiv_prune=True,
+        capacity_prune=True,
+    )
+    assert result.points and result.statistics.executor == "vector"
+    assert result.statistics.equiv_replays
+    assert builds == []
+
+    # Cache puts and hits, single-flight followers and the name restore
+    # of an equivalent twin's entry do not build a report either.
+    flow = kc_partitioned(c_tile=8)
+    twin = Dataflow(name="twin", directives=flow.directives)
+    cache = AnalysisCache()
+    first = BatchEvaluator(executor="vector", cache=cache).evaluate(
+        _points(layer, flow, grid) + _points(layer, twin, grid)
+    )
+    assert first.stats.singleflight_hits > 0
+    assert {o.dataflow_name for o in first.outcomes[len(grid) :] if o.ok} == {"twin"}
+    hits = BatchEvaluator(executor="vector", cache=cache).evaluate(_points(layer, twin, grid))
+    assert hits.stats.equiv_twin_hits == sum(outcome.ok for outcome in hits.outcomes) > 0
+    assert all(outcome.cached for outcome in hits.outcomes)
+    assert builds == []
+
+    lane = next(outcome for outcome in hits.outcomes if outcome.ok)
+    assert lane.report.dataflow_name == "twin"
+    assert lane.report is lane.report
+    assert len(builds) == 1
+
+
+def test_cached_lane_reports_match_the_scalar_engine(layer, grid):
+    cache = AnalysisCache()
+    points = _points(layer, kc_partitioned(c_tile=8), grid)
+    BatchEvaluator(executor="vector", cache=cache).evaluate(points)
+    hits = BatchEvaluator(executor="vector", cache=cache).evaluate(points)
+    assert hits.stats.cache_hits == len(points)
+    checked = 0
+    for point, outcome in zip(points, hits.outcomes):
+        if not outcome.ok:
+            continue
+        expected = analyze_layer(point.layer, point.dataflow, point.accelerator)
+
+        def types(report):
+            return (
+                type(report.runtime),
+                type(report.l1_buffer_req),
+                type(report.l2_buffer_req),
+                [type(req) for req in report.intermediate_buffer_reqs],
+                [type(stats.upstream_buffer_req) for stats in report.level_stats],
+                [type(value) for value in figures_of(report)],
+            )
+
+        assert outcome.figures == figures_of(expected)
+        assert [type(value) for value in outcome.figures] == types(expected)[-1]
+        report = outcome.report
+        assert report == expected
+        assert types(report) == types(expected)
+        checked += 1
+    assert checked
+
+
+def test_threads_reading_shared_lanes_get_one_report_each(layer, grid, builds):
+    """Shard threads share cached lanes: every reader of a lane gets the
+    same report object, equal to the scalar engine's, and the block is
+    built once."""
+    cache = AnalysisCache()
+    points = _points(layer, kc_partitioned(c_tile=8), grid)
+    BatchEvaluator(executor="vector", cache=cache).evaluate(points)
+    hits = BatchEvaluator(executor="vector", cache=cache).evaluate(points)
+    pairs = [(point, lane) for point, lane in zip(points, hits.outcomes) if lane.ok]
+    lanes = [lane for _, lane in pairs] + [lane.renamed("twin") for _, lane in pairs]
+    assert pairs and all(lane.cached for lane in lanes) and builds == []
+    readers = 8
+    barrier = threading.Barrier(readers)
+    seen = [[] for _ in range(readers)]
+
+    def read(index):
+        barrier.wait()
+        seen[index].extend(lane.report for lane in lanes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert all(len(reports) == len(lanes) for reports in seen)
+    for reports in seen[1:]:
+        assert all(mine is first for mine, first in zip(reports, seen[0]))
+    expected = [analyze_layer(p.layer, p.dataflow, p.accelerator) for p, _ in pairs]
+    assert seen[0][: len(pairs)] == expected
+    assert [report.dataflow_name for report in seen[0][len(pairs) :]] == ["twin"] * len(pairs)
 
 
 # ----------------------------------------------------------------------
