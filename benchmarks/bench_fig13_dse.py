@@ -173,10 +173,19 @@ def test_fig13_static_lint_pruning(dse_results, emit_result):
         for layer_name in ("CONV2", "CONV11"):
             layer = vgg16.layer(layer_name)
             linted = dse_results[(flow_name, layer_name)]
+            # Both sweeps are timed here and uncached: the fixture's
+            # sweeps filled the default cache, so a cached rerun would
+            # time cache lookups, not evaluations.
+            start = time.perf_counter()
+            explore(
+                layer, space, area_budget=AREA_BUDGET,
+                power_budget=POWER_BUDGET, cache=False,
+            )
+            lint_elapsed = time.perf_counter() - start
             start = time.perf_counter()
             brute = explore(
                 layer, space, area_budget=AREA_BUDGET,
-                power_budget=POWER_BUDGET, static_lint=False,
+                power_budget=POWER_BUDGET, static_lint=False, cache=False,
             )
             brute_elapsed = time.perf_counter() - start
 
@@ -191,14 +200,14 @@ def test_fig13_static_lint_pruning(dse_results, emit_result):
                     < brute.statistics.cost_model_calls
                 )
 
-            saved = brute_elapsed - linted.statistics.elapsed_seconds
+            saved = brute_elapsed - lint_elapsed
             rows.append(
                 [
                     f"{flow_name}/{layer_name}",
                     linted.statistics.static_rejects,
                     linted.statistics.cost_model_calls,
                     brute.statistics.cost_model_calls,
-                    f"{linted.statistics.elapsed_seconds:.2f}",
+                    f"{lint_elapsed:.2f}",
                     f"{brute_elapsed:.2f}",
                     f"{saved:+.2f}",
                 ]

@@ -1106,7 +1106,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="default shard count for DSE jobs that do not pin one",
+        help=(
+            "default shard count for DSE jobs that do not pin one: PE blocks "
+            "run in order, one anytime front event and cancel point each"
+        ),
     )
     p_serve.add_argument(
         "--no-cache",

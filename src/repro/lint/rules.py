@@ -103,14 +103,6 @@ class RuleContext:
     #: Code of the rule being run; :meth:`diag` emits only this code.
     running: Optional[str] = None
 
-    _flow: object = field(default=None, repr=False)
-    _flow_tried: bool = field(default=False, repr=False)
-    _bound: object = field(default=None, repr=False)
-    _bound_tried: bool = field(default=False, repr=False)
-    _tensors: object = field(default=None, repr=False)
-    _tensors_tried: bool = field(default=False, repr=False)
-    _coverage: object = field(default=None, repr=False)
-    _coverage_tried: bool = field(default=False, repr=False)
     _facts: Dict[object, object] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -190,48 +182,34 @@ class RuleContext:
             return str(error)
         return None
 
-    @property
+    @functools.cached_property
     def flow(self) -> "Optional[Dataflow]":
         """The mapping under lint as a ``Dataflow`` (the one linted, else
         built once from the directives), or ``None`` when it cannot be
         constructed."""
-        if self._flow_tried:
-            return self._flow  # type: ignore[return-value]
-        self._flow_tried = True
-        self._flow = self.dataflow
-        if self._flow is None:
-            try:
-                from repro.dataflow.dataflow import Dataflow
+        if self.dataflow is not None:
+            return self.dataflow  # type: ignore[return-value]
+        try:
+            from repro.dataflow.dataflow import Dataflow
 
-                self._flow = Dataflow(name=self.name, directives=tuple(self.directives))
-            except Exception:
-                self._flow = None
-        return self._flow  # type: ignore[return-value]
+            return Dataflow(name=self.name, directives=tuple(self.directives))
+        except Exception:
+            return None
 
-    @property
+    @functools.cached_property
     def bound(self) -> "Optional[BoundDataflow]":
         """The mapping bound to layer + accelerator, or ``None``."""
-        if self._bound_tried:
-            return self._bound
-        self._bound_tried = True
-        if self.layer is None or self.accelerator is None:
-            return None
-        flow = self.flow
-        if flow is None:
+        if self.layer is None or self.accelerator is None or self.flow is None:
             return None
         try:
             from repro.engines.binding import bind_dataflow
 
-            self._bound = bind_dataflow(flow, self.layer, self.accelerator)
+            return bind_dataflow(self.flow, self.layer, self.accelerator)
         except Exception:
-            self._bound = None
-        return self._bound
+            return None
 
-    @property
+    @functools.cached_property
     def tensors(self) -> "Optional[TensorAnalysis]":
-        if self._tensors_tried:
-            return self._tensors
-        self._tensors_tried = True
         if self.layer is None:
             return None
         mapped = {d.dim for _, d in self.map_entries}
@@ -240,12 +218,11 @@ class RuleContext:
         try:
             from repro.engines.tensor_analysis import analyze_tensors
 
-            self._tensors = analyze_tensors(self.layer, row_rep, col_rep)
+            return analyze_tensors(self.layer, row_rep, col_rep)
         except Exception:
-            self._tensors = None
-        return self._tensors
+            return None
 
-    @property
+    @functools.cached_property
     def coverage(self) -> "Optional[VerifyResult]":
         """Iteration-space coverage verdict for this mapping, or ``None``.
 
@@ -254,23 +231,14 @@ class RuleContext:
         layer. Uses a reduced enumeration budget so linting stays fast —
         mappings the budget cannot decide surface as DF103.
         """
-        if self._coverage_tried:
-            return self._coverage
-        self._coverage_tried = True
-        if self.layer is None:
-            return None
-        flow = self.flow
-        if flow is None:
+        if self.layer is None or self.flow is None:
             return None
         try:
             from repro.verify import verify_dataflow
 
-            self._coverage = verify_dataflow(
-                flow, self.layer, budget=_LINT_VERIFY_BUDGET
-            )
+            return verify_dataflow(self.flow, self.layer, budget=_LINT_VERIFY_BUDGET)
         except Exception:
-            self._coverage = None
-        return self._coverage
+            return None
 
     # ------------------------------------------------------------------
     # Diagnostic construction

@@ -10,8 +10,10 @@ HTTP/JSON service:
   (tests, benchmarks, embedding);
 - :class:`~repro.serve.client.ServeClient` — a thin stdlib-socket
   client speaking the same protocol;
-- :func:`sharded_explore` — PE-contiguous sharded sweeps with anytime
-  Pareto-front callbacks, bit-identical to the in-process explorer;
+- :func:`sharded_explore` — a sweep in PE-contiguous shards run in
+  order on the calling thread, with an anytime Pareto-front callback
+  and a cancel check between shards, bit-identical to the in-process
+  explorer;
 - :mod:`repro.serve.protocol` — request validation and the normalized
   job documents both sides of the wire agree on.
 

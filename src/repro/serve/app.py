@@ -16,19 +16,23 @@ Endpoints (see ``docs/serving.md`` for schemas and curl examples):
 - ``GET  /v1/jobs`` — the in-memory job table;
 - ``POST /v1/analyze | /v1/lint | /v1/verify | /v1/tune`` — one JSON
   document in, one JSON document out;
-- ``POST /v1/dse`` — a design-space sweep, sharded over the PE axis;
-  with ``"stream": true`` the response is NDJSON carrying *anytime*
-  Pareto-front updates as shards land, ending in the final front (bit
-  identical to the in-process explorer);
+- ``POST /v1/dse`` — a design-space sweep in PE-contiguous shards run in
+  order on the job's thread; with ``"stream": true`` the response is
+  NDJSON carrying an *anytime* Pareto front after every shard, ending
+  in the final front (bit identical to the in-process explorer);
 - ``POST /admin/shutdown`` — graceful drain (only when enabled).
 
-Sharing model: all jobs evaluate through one process-wide
-:class:`~repro.exec.AnalysisCache` (the content-addressed outcome cache
-promoted to a cross-request tier — keys already carry the canonical
-mapping form and the model-version salt, so results are safely
-shareable across tenants), and identical in-flight jobs are
-single-flighted: followers subscribe to the leader's job record instead
-of re-running the sweep.
+Every ``/v1/*`` job takes one path: the request is admitted, validated
+and keyed once, then joins the in-flight job record of its key or
+creates it and starts its execution task, and subscribes to the
+record's events until the terminal one. Sharing model: all jobs
+evaluate through one process-wide :class:`~repro.exec.AnalysisCache`
+(the content-addressed outcome cache promoted to a cross-request tier
+— keys already carry the canonical mapping form and the model-version
+salt, so results are safely shareable across tenants), and identical
+in-flight jobs are single-flighted. A job whose last subscriber leaves
+before its terminal event is cancelled (a dse sweep stops before its
+next shard).
 """
 
 from __future__ import annotations
@@ -75,12 +79,16 @@ class ServeConfig:
     drain_timeout: float = 15.0
     #: Request-body cap in bytes.
     max_body: int = DEFAULT_MAX_BODY
-    #: Default shard count for DSE jobs that do not pin one.
+    #: Default shard count for DSE jobs that do not pin one: PE blocks
+    #: run in order, each one anytime ``front`` event and cancel point.
     default_shards: int = 4
     #: The shared outcome cache: ``True`` = process default tier.
     cache: Union[bool, AnalysisCache, None] = True
     #: Allow ``POST /admin/shutdown`` (used by the CI smoke lane).
     allow_shutdown: bool = False
+
+
+_TERMINAL = ("result", "error")
 
 
 @dataclass
@@ -98,12 +106,23 @@ class JobRecord:
     events: List[Dict[str, Any]] = field(default_factory=list)
     subscribers: List["asyncio.Queue[Dict[str, Any]]"] = field(default_factory=list)
     cancel: threading.Event = field(default_factory=threading.Event)
+    task: "Optional[asyncio.Task[None]]" = None
+
+    @property
+    def finished(self) -> bool:
+        return bool(self.events) and self.events[-1]["event"] in _TERMINAL
 
     def publish(self, event: Dict[str, Any]) -> None:
         """Append to history and fan out to live subscribers (loop thread)."""
         self.events.append(event)
-        for queue in list(self.subscribers):
+        for queue in self.subscribers:
             queue.put_nowait(event)
+
+    def fail(self, state: str, status: int, error: str, **extra: Any) -> None:
+        """Publish the terminal ``error`` event."""
+        self.state = state
+        self.error = error
+        self.publish({"event": "error", "status": status, "error": error, **extra})
 
     def subscribe(self) -> "asyncio.Queue[Dict[str, Any]]":
         """A queue pre-loaded with history; future events follow."""
@@ -112,6 +131,12 @@ class JobRecord:
             queue.put_nowait(event)
         self.subscribers.append(queue)
         return queue
+
+    def unsubscribe(self, queue: "asyncio.Queue[Dict[str, Any]]") -> None:
+        """Drop a subscriber; the last one to leave cancels an unfinished job."""
+        self.subscribers.remove(queue)
+        if not self.subscribers and not self.finished:
+            self.cancel.set()
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -125,9 +150,6 @@ class JobRecord:
             "error": self.error,
             "events": len(self.events),
         }
-
-
-_TERMINAL = ("result", "error")
 
 
 class AnalysisServer:
@@ -155,10 +177,6 @@ class AnalysisServer:
         ] = {
             ("GET", "/healthz"): self._h_healthz,
             ("GET", "/v1/jobs"): self._h_jobs,
-            ("POST", "/v1/analyze"): self._h_analyze,
-            ("POST", "/v1/lint"): self._h_lint,
-            ("POST", "/v1/verify"): self._h_verify,
-            ("POST", "/v1/tune"): self._h_tune,
         }
 
     # ------------------------------------------------------------------
@@ -285,13 +303,14 @@ class AnalysisServer:
             self._loop.create_task(self.shutdown())
             await send_json(writer, 202, {"status": "draining"})
             return "shutdown", 202
-        if path == "/v1/dse" and method == "POST":
-            status = await self._h_dse(request, writer)
-            return "dse", status
+        kind = path[len("/v1/") :] if path.startswith("/v1/") else ""
+        if method == "POST" and kind in protocol.JOB_KINDS:
+            return kind, await self._h_job(kind, request, writer)
 
         handler = self._routes.get((method, path))
         if handler is None:
-            known = {p for _, p in self._routes} | {"/metrics", "/v1/dse"}
+            known = {p for _, p in self._routes} | {"/metrics"}
+            known |= {f"/v1/{name}" for name in protocol.JOB_KINDS}
             if path in known:
                 raise HttpError(405, f"{method} not allowed on {path}")
             raise HttpError(404, f"no route for {path}")
@@ -302,9 +321,20 @@ class AnalysisServer:
         return path.rsplit("/", 1)[-1], 200
 
     # ------------------------------------------------------------------
-    # Admission + single-flight job machinery
+    # Jobs: admit, validate, single-flight, execute, subscribe
     # ------------------------------------------------------------------
-    def _admit(self) -> None:
+    async def _h_job(
+        self, kind: str, request: Request, writer: asyncio.StreamWriter
+    ) -> int:
+        """Answer one ``POST /v1/{kind}``; returns the status for metrics.
+
+        Identical in-flight work is joined, not re-run: every request
+        subscribes to the job record of its key, and the record's first
+        request starts the job. A request ends with the terminal event,
+        as a JSON body (raised as an :class:`HttpError` when the job
+        failed) or, for a dse job with ``"stream": true``, as the last
+        line of an NDJSON stream of every event.
+        """
         if self._draining:
             raise HttpError(503, "server is draining")
         if self._queued >= self.config.queue_limit:
@@ -313,33 +343,37 @@ class AnalysisServer:
                 503,
                 f"queue full ({self.config.queue_limit} jobs waiting); retry later",
             )
-
-    async def _run_job(
-        self,
-        kind: str,
-        doc: Any,
-        work: Callable[[JobRecord, Dict[str, Any]], Dict[str, Any]],
-    ) -> JobRecord:
-        """Admit, single-flight, and execute one job to completion.
-
-        Returns the job record once its terminal event is published.
-        ``work`` runs on a worker thread with the record (for its cancel
-        event) and the normalized document, and must return the terminal
-        ``result`` payload.
-        """
-        normalized = protocol.validate(kind, doc)
-        key = protocol.job_key(kind, normalized)
-        leader = self._inflight.get(key)
-        if leader is not None:
-            # Single-flight: identical in-flight work is joined, not
-            # re-run. Wait on the leader's terminal event.
-            leader.followers += 1
+        norm = protocol.validate(kind, request.json())
+        key = protocol.job_key(kind, norm)
+        record = self._inflight.get(key)
+        if record is None:
+            record = self._start_job(kind, key, norm)
+        else:
+            record.followers += 1
             obs.inc("serve.singleflight_hits")
-            queue = leader.subscribe()
+        stream = NDJSONStream(writer) if norm.get("stream") else None
+        queue = record.subscribe()
+        try:
             while True:
                 event = await queue.get()
-                if event.get("event") in _TERMINAL:
-                    return leader
+                if stream is not None:
+                    await stream.emit(event)
+                if event["event"] in _TERMINAL:
+                    break
+        finally:
+            record.unsubscribe(queue)
+        failed = event["event"] == "error"
+        if stream is not None:
+            return int(event["status"]) if failed else 200
+        if failed:
+            raise HttpError(
+                int(event["status"]), str(event["error"]), details=event.get("details")
+            )
+        await send_json(writer, 200, event)
+        return 200
+
+    def _start_job(self, kind: str, key: str, norm: Dict[str, Any]) -> JobRecord:
+        """Create the job record of ``key`` and start its execution task."""
         record = JobRecord(id=f"job-{next(self._job_ids)}", kind=kind, key=key)
         record.publish(
             {"event": "accepted", "job_id": record.id, "kind": kind, "key": key[:16]}
@@ -350,6 +384,13 @@ class AnalysisServer:
         self._inflight[key] = record
         self._queued += 1
         obs.set_gauge("serve.queue_depth", self._queued)
+        record.task = asyncio.create_task(self._execute(record, norm))
+        return record
+
+    async def _execute(self, record: JobRecord, norm: Dict[str, Any]) -> None:
+        """Run one job's ``_work_{kind}`` on a worker thread once a slot is
+        free, and publish its terminal event."""
+        work = getattr(self, f"_work_{record.kind}")
         started = time.perf_counter()
         dequeued = False
         try:
@@ -362,46 +403,27 @@ class AnalysisServer:
                 record.state = "running"
                 try:
                     result = await asyncio.wait_for(
-                        asyncio.to_thread(work, record, normalized),
+                        asyncio.to_thread(work, record, norm),
                         timeout=self.config.job_timeout,
                     )
                 except asyncio.TimeoutError:
                     record.cancel.set()
-                    record.state = "cancelled"
-                    record.error = f"timed out after {self.config.job_timeout:.0f}s"
-                    record.publish(
-                        {"event": "error", "status": 504, "error": record.error}
+                    record.fail(
+                        "cancelled",
+                        504,
+                        f"timed out after {self.config.job_timeout:.0f}s",
                     )
-                    return record
                 except SweepCancelled as error:
-                    record.state = "cancelled"
-                    record.error = str(error)
-                    record.publish(
-                        {"event": "error", "status": 503, "error": record.error}
-                    )
-                    return record
+                    record.fail("cancelled", 503, str(error))
                 except HttpError as error:
-                    record.state = "failed"
-                    record.error = error.message
-                    record.publish(
-                        {
-                            "event": "error",
-                            "status": error.status,
-                            "error": error.message,
-                            "details": error.details,
-                        }
+                    record.fail(
+                        "failed", error.status, error.message, details=error.details
                     )
-                    return record
                 except Exception as error:
-                    record.state = "failed"
-                    record.error = f"{type(error).__name__}: {error}"
-                    record.publish(
-                        {"event": "error", "status": 500, "error": record.error}
-                    )
-                    return record
-                record.state = "done"
-                record.publish({"event": "result", **result})
-                return record
+                    record.fail("failed", 500, f"{type(error).__name__}: {error}")
+                else:
+                    record.state = "done"
+                    record.publish({"event": "result", **result})
         finally:
             record.wall_seconds = time.perf_counter() - started
             if not dequeued:
@@ -411,38 +433,17 @@ class AnalysisServer:
             if record.state != "queued":
                 self._active_jobs -= 1
             obs.set_gauge("serve.jobs_active", self._active_jobs)
-            self._inflight.pop(key, None)
-            if not record.events or record.events[-1].get("event") not in _TERMINAL:
-                # Aborted without a terminal event (e.g. the leader's
-                # connection task was cancelled mid-job): publish one so
-                # single-flight followers are released, not stranded.
+            self._inflight.pop(record.key, None)
+            if not record.finished:
+                # Aborted without a terminal event (the task was cancelled
+                # at loop shutdown): publish one so subscribers are released.
                 record.cancel.set()
-                record.state = "cancelled"
-                record.error = record.error or "job aborted"
-                record.publish({"event": "error", "status": 500, "error": record.error})
+                record.fail("cancelled", 500, "job aborted")
             obs.observe(
-                f"serve.job_seconds.{kind}", record.wall_seconds, buckets=LATENCY_BUCKETS
+                f"serve.job_seconds.{record.kind}",
+                record.wall_seconds,
+                buckets=LATENCY_BUCKETS,
             )
-
-    @staticmethod
-    def _terminal(record: JobRecord) -> Dict[str, Any]:
-        """The job's terminal event, raised as an error when it failed."""
-        event = record.events[-1]
-        if event.get("event") == "error":
-            raise HttpError(
-                int(event.get("status", 500)),
-                str(event.get("error")),
-                details=event.get("details"),
-            )
-        return event
-
-    # ------------------------------------------------------------------
-    # Simple (one-shot JSON) job endpoints
-    # ------------------------------------------------------------------
-    async def _h_analyze(self, request: Request) -> Dict[str, Any]:
-        self._admit()
-        record = await self._run_job("analyze", request.json(), self._work_analyze)
-        return self._terminal(record)
 
     def _work_analyze(self, record: JobRecord, norm: Dict[str, Any]) -> Dict[str, Any]:
         from repro.exec import BatchEvaluator, EvalPoint
@@ -492,11 +493,6 @@ class AnalysisServer:
             },
         }
 
-    async def _h_lint(self, request: Request) -> Dict[str, Any]:
-        self._admit()
-        record = await self._run_job("lint", request.json(), self._work_lint)
-        return self._terminal(record)
-
     def _work_lint(self, record: JobRecord, norm: Dict[str, Any]) -> Dict[str, Any]:
         from repro.lint import lint_dataflow
 
@@ -512,11 +508,6 @@ class AnalysisServer:
             "ok": not report.has_errors,
             "report": report.to_dict(),
         }
-
-    async def _h_verify(self, request: Request) -> Dict[str, Any]:
-        self._admit()
-        record = await self._run_job("verify", request.json(), self._work_verify)
-        return self._terminal(record)
 
     def _work_verify(self, record: JobRecord, norm: Dict[str, Any]) -> Dict[str, Any]:
         from repro.model.layer import conv2d
@@ -535,11 +526,6 @@ class AnalysisServer:
             "all_proven": all(result.proven for result in results),
             "results": [result.to_dict() for result in results],
         }
-
-    async def _h_tune(self, request: Request) -> Dict[str, Any]:
-        self._admit()
-        record = await self._run_job("tune", request.json(), self._work_tune)
-        return self._terminal(record)
 
     def _work_tune(self, record: JobRecord, norm: Dict[str, Any]) -> Dict[str, Any]:
         from repro.tuner import tune_layer
@@ -578,69 +564,8 @@ class AnalysisServer:
         }
 
     # ------------------------------------------------------------------
-    # DSE: sharded sweep with streaming anytime fronts
+    # DSE: a sharded sweep whose anytime fronts stream as events
     # ------------------------------------------------------------------
-    async def _h_dse(self, request: Request, writer: asyncio.StreamWriter) -> int:
-        self._admit()
-        doc = request.json()
-        norm = protocol.validate("dse", doc)
-        stream = norm["stream"]
-        if not stream:
-            record = await self._run_job("dse", doc, self._work_dse)
-            await send_json(writer, 200, self._terminal(record))
-            return 200
-
-        # Streaming: subscribe before the job runs so every anytime
-        # front update is observed; single-flight followers replay the
-        # leader's history and then follow along live.
-        key = protocol.job_key("dse", norm)
-        leader = self._inflight.get(key)
-        ndjson = NDJSONStream(writer)
-        if leader is not None:
-            leader.followers += 1
-            obs.inc("serve.singleflight_hits")
-            queue = leader.subscribe()
-        else:
-            queue = None
-
-        if queue is not None:
-            status = 200
-            while True:
-                event = await queue.get()
-                await ndjson.emit(event)
-                if event.get("event") in _TERMINAL:
-                    if event.get("event") == "error":
-                        status = int(event.get("status", 500))
-                    return status
-
-        # Leader path: run the job while streaming its events.
-        job = asyncio.ensure_future(self._run_job("dse", doc, self._work_dse))
-        # The record is created inside _run_job; wait for it to appear.
-        while key not in self._inflight and not job.done():
-            await asyncio.sleep(0)
-        record = self._inflight.get(key)
-        if record is None:
-            # Validation re-raised before the record existed.
-            await job  # propagate the HttpError
-            return 500
-        queue = record.subscribe()
-        status = 200
-        try:
-            while True:
-                event = await queue.get()
-                await ndjson.emit(event)
-                if event.get("event") in _TERMINAL:
-                    if event.get("event") == "error":
-                        status = int(event.get("status", 500))
-                    break
-        except (ConnectionError, OSError):
-            # Client went away: cancel the sweep unless followers remain.
-            if record.followers == 0:
-                record.cancel.set()
-            raise
-        await job
-        return status
-
     def _work_dse(self, record: JobRecord, norm: Dict[str, Any]) -> Dict[str, Any]:
         layer, space, kwargs = protocol.dse_inputs(norm)
         shards = norm["shards"] or min(

@@ -4,25 +4,26 @@ The explorer's enumeration is PE-major and every grid point is folded
 independently (phase 2 of :func:`repro.dse.explorer.explore` has no
 cross-point state outside the leader fold, which is order-restored in
 phase 3). Partitioning the PE axis into contiguous blocks therefore
-yields embarrassingly parallel shards whose *concatenated* point lists
-are exactly the whole-space sweep's point list — the invariant this
-module's bit-identical merge (and the CI parity gate) rests on.
+yields shards whose *concatenated* point lists are exactly the
+whole-space sweep's point list — the invariant this module's
+bit-identical merge (and the CI parity gate) rests on.
 
-:func:`sharded_explore` runs one :func:`explore` per shard on a thread
-pool (each shard's batch backend still auto-selects the vectorized
-whole-grid engine for grid-shaped miss sets, or fans out worker
-processes), invokes an ``on_update`` callback with the *anytime* Pareto
-front every time a shard lands, and merges the shard results into a
-single :class:`~repro.dse.explorer.DSEResult` whose points, Pareto
-front, and per-objective optima are bit-identical to the in-process
-sweep.
+:func:`sharded_explore` runs one :func:`explore` per shard, in PE
+order, on the calling thread (each shard's batch backend still
+auto-selects the vectorized whole-grid engine for grid-shaped miss
+sets, or fans out worker processes). Shards are not a speed-up: one
+``explore`` over the whole space is faster. They are the sweep's
+progress and cancel points — ``on_update`` receives the *anytime*
+Pareto front after every shard, a cancel event is honoured before the
+next one — and the shard results merge into a single
+:class:`~repro.dse.explorer.DSEResult` whose points, Pareto front and
+per-objective optima are bit-identical to the in-process sweep.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -122,95 +123,44 @@ def sharded_explore(
     *,
     shards: int = 1,
     cache: Union[bool, AnalysisCache, None] = True,
-    pool: Optional[ThreadPoolExecutor] = None,
     on_update: Optional[Callable[[ShardUpdate], None]] = None,
     cancel: Optional[threading.Event] = None,
     **explore_kwargs: object,
 ) -> DSEResult:
-    """Sweep ``space`` in PE-contiguous shards; bit-identical merge.
+    """Sweep ``space`` in PE-contiguous shards, one after another.
 
-    ``on_update`` fires after every shard completes, carrying the
-    Pareto front of every point seen so far (the *anytime* front — it
-    only ever grows toward the final front). ``cancel`` is checked
-    before each shard starts and between completions; a set event
-    raises :class:`SweepCancelled` without waiting for remaining
-    shards. Shard sweeps share ``cache``, so concurrent shards never
-    recompute each other's overlapping canonical points.
-
-    Blocking call — run it on a worker thread from async contexts.
+    ``cancel`` is checked before each shard starts; a set event raises
+    :class:`SweepCancelled`. ``on_update`` fires after every shard with
+    the Pareto front of every point seen so far (the *anytime* front:
+    it only ever grows toward the final front). Shards run on the
+    calling thread, so their ``serve.shard`` spans nest under the
+    caller's open span. Blocking call — run it on a worker thread from
+    async contexts.
     """
     start = time.perf_counter()
     spaces = shard_spaces(space, shards)
-    results: List[Optional[DSEResult]] = [None] * len(spaces)
-
-    def run_shard(index: int) -> Tuple[int, DSEResult]:
+    results: List[DSEResult] = []
+    front: List[DesignPoint] = []
+    explored = valid = 0
+    for index, shard in enumerate(spaces):
         if cancel is not None and cancel.is_set():
-            raise SweepCancelled(f"cancelled before shard {index}")
-        with obs.span("serve.shard", shard=index, points=spaces[index].size):
-            result = explore(layer, spaces[index], cache=cache, **explore_kwargs)
-        return index, result
-
-    if len(spaces) == 1:
-        index, result = run_shard(0)
-        results[0] = result
-        merged = merge_shard_results([result], time.perf_counter() - start)
+            raise SweepCancelled(f"cancelled after {index}/{len(spaces)} shards")
+        with obs.span("serve.shard", shard=index, points=shard.size):
+            result = explore(layer, shard, cache=cache, **explore_kwargs)
+        results.append(result)
         if on_update is not None:
+            explored += result.statistics.explored
+            valid += result.statistics.valid
+            # The front of (earlier front + this shard's points) is the
+            # front of every point so far, ties kept in shard order.
+            front = _front([*front, *result.points])
             on_update(
                 ShardUpdate(
-                    shards_done=1,
-                    shards_total=1,
-                    points_explored=merged.statistics.explored,
-                    points_valid=merged.statistics.valid,
-                    front=tuple(merged.pareto()),
+                    shards_done=index + 1,
+                    shards_total=len(spaces),
+                    points_explored=explored,
+                    points_valid=valid,
+                    front=tuple(front),
                 )
             )
-        return merged
-
-    owned_pool = pool is None
-    if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=len(spaces), thread_name_prefix="repro-shard"
-        )
-    try:
-        futures = {pool.submit(run_shard, index) for index in range(len(spaces))}
-        done_count = 0
-        explored = valid = 0
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, result = future.result()  # propagates SweepCancelled
-                results[index] = result
-                done_count += 1
-                explored += result.statistics.explored
-                valid += result.statistics.valid
-                if on_update is not None:
-                    # Fold the anytime front over completed shards in
-                    # shard-index order (not completion order) so the
-                    # event stream is deterministic and the final update
-                    # equals the merged result's front exactly.
-                    seen: List[DesignPoint] = []
-                    for partial in results:
-                        if partial is not None:
-                            seen.extend(partial.points)
-                    on_update(
-                        ShardUpdate(
-                            shards_done=done_count,
-                            shards_total=len(spaces),
-                            points_explored=explored,
-                            points_valid=valid,
-                            front=tuple(_front(seen)),
-                        )
-                    )
-            if cancel is not None and cancel.is_set():
-                for future in futures:
-                    future.cancel()
-                raise SweepCancelled(
-                    f"cancelled after {done_count}/{len(spaces)} shards"
-                )
-    finally:
-        if owned_pool:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    final = [result for result in results if result is not None]
-    assert len(final) == len(spaces), "every shard must produce a result"
-    return merge_shard_results(final, time.perf_counter() - start)
+    return merge_shard_results(results, time.perf_counter() - start)

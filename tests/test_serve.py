@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -214,6 +215,24 @@ class TestDSE:
         assert result["front"]
         assert result["statistics"]["explored"] > 0
 
+    @pytest.mark.parametrize("stream", [True, False], ids=["stream", "unary"])
+    def test_request_is_validated_once(self, client, monkeypatch, stream):
+        calls = []
+        validate = protocol.validate
+
+        def counted(kind, doc):
+            calls.append(kind)
+            return validate(kind, doc)
+
+        monkeypatch.setattr(protocol, "validate", counted)
+        job = dict(DSE_JOB, layer="CONV4", shards=2)
+        if stream:
+            events = list(client.dse_stream(**job))
+            assert events[-1]["event"] == "result"
+        else:
+            assert client.dse(**job)["front"]
+        assert calls == ["dse"]
+
     def test_single_flight_concurrent_submissions(self, client):
         job = dict(DSE_JOB, layer="CONV3", shards=2)
         results = [None, None]
@@ -297,6 +316,27 @@ class TestLifecycle:
             with pytest.raises(ServeError) as excinfo:
                 locked.shutdown()
             assert excinfo.value.status == 404
+
+
+class TestJobRecord:
+    def test_last_subscriber_leaving_cancels_an_unfinished_job(self):
+        from repro.serve.app import JobRecord
+
+        async def scenario():
+            record = JobRecord(id="job-1", kind="dse", key="k")
+            first, second = record.subscribe(), record.subscribe()
+            record.unsubscribe(first)
+            assert not record.cancel.is_set()
+            record.unsubscribe(second)
+            assert record.cancel.is_set()
+
+            done = JobRecord(id="job-2", kind="dse", key="k")
+            queue = done.subscribe()
+            done.publish({"event": "result"})
+            done.unsubscribe(queue)
+            assert not done.cancel.is_set()
+
+        asyncio.run(scenario())
 
 
 class TestProtocolUnits:

@@ -7,6 +7,8 @@ from dataclasses import fields
 
 import pytest
 
+import repro.serve.shards
+from repro import obs
 from repro.dse.explorer import DSEStatistics, explore
 from repro.dse.space import (
     DesignSpace,
@@ -212,6 +214,33 @@ class TestCancellation:
                 cancel=cancel,
             )
 
+    def test_cancel_stops_before_the_next_shard(
+        self, conv_layer, small_space, monkeypatch
+    ):
+        """Shards run in order, so a cancel set at the first anytime
+        update leaves the other three shard sweeps unstarted."""
+        calls = []
+        sweep = repro.serve.shards.explore
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(repro.serve.shards, "explore", counted)
+        cancel = threading.Event()
+        with pytest.raises(SweepCancelled, match="after 1/4 shards"):
+            sharded_explore(
+                conv_layer,
+                small_space,
+                area_budget=AREA,
+                power_budget=POWER,
+                shards=4,
+                cache=False,
+                on_update=lambda update: cancel.set(),
+                cancel=cancel,
+            )
+        assert len(calls) == 1
+
     def test_cancel_after_first_shard(self, conv_layer, small_space):
         cancel = threading.Event()
 
@@ -229,6 +258,28 @@ class TestCancellation:
                 on_update=cancel_on_first,
                 cancel=cancel,
             )
+
+
+def test_shard_spans_nest_under_the_callers_span(conv_layer, small_space):
+    enabled = obs.is_enabled()
+    obs.configure(enabled=True)
+    try:
+        before = len(obs.spans())
+        with obs.span("job"):
+            job_id = obs.current_span_id()
+            sharded_explore(
+                conv_layer,
+                small_space,
+                area_budget=AREA,
+                power_budget=POWER,
+                shards=3,
+                cache=False,
+            )
+        shard_spans = [r for r in obs.spans()[before:] if r.name == "serve.shard"]
+    finally:
+        obs.configure(enabled=enabled)
+    assert [r.parent_id for r in shard_spans] == [job_id] * 3
+    assert [r.attrs["shard"] for r in shard_spans] == [0, 1, 2]
 
 
 def test_merge_empty_rejected():
