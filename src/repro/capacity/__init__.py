@@ -29,6 +29,7 @@ from repro.capacity.bounds import (
     CAPACITY_PROVENANCE,
     CapacityBounds,
     LevelOccupancy,
+    VariantCapacity,
     compute_capacity_bounds,
 )
 from repro.capacity.prune import capacity_requirements
@@ -47,6 +48,7 @@ __all__ = [
     "CapacityBounds",
     "LevelOccupancy",
     "RooflineCertificate",
+    "VariantCapacity",
     "capacity_requirements",
     "capacity_rows",
     "classify_roofline",

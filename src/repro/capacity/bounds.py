@@ -15,20 +15,30 @@ equality against the engine, and with the engine's own double-buffer
 margin against the simulator walk (see
 :mod:`repro.verify.differential`).
 
+The PE count enters a binding only through the top level's width, and
+so only through its fold geometry; the tiles, and with them every
+working set but L2's, do not depend on it. :class:`VariantCapacity`
+binds a mapping once and answers the L1/L2 peaks of every PE count from
+that binding: the capacity screens of :mod:`repro.screens` compute one
+such fact per mapping variant of a sweep.
+
 Monotonicity: every bound is a sum of products of per-dimension clamped
 tile extents (times density), so enlarging any directive size — holding
-the layer fixed — never shrinks a bound. The DSE/tuner capacity screens
-(:mod:`repro.capacity.prune`) rely on this to discard whole grid
-sub-regions soundly.
+the layer fixed — never shrinks a bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engines.analysis import buffer_req, buffering_factor, l2_working_set, working_set
-from repro.engines.binding import BoundDataflow, bind_dataflow
+from repro.engines.binding import (
+    BoundDataflow,
+    bind_dataflow,
+    pes_per_top_cluster,
+    top_level_width,
+)
 from repro.engines.reuse import level_unique_volumes
 from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
 from repro.dataflow.dataflow import Dataflow
@@ -220,3 +230,68 @@ def compute_capacity_bounds(
     """
     bound, tensors = _bind(dataflow, layer, accelerator)
     return _bounds_from(bound, tensors, accelerator, dataflow.name, layer.name)
+
+
+class VariantCapacity:
+    """One mapping's certified L1/L2 peaks on one layer, at every PE count.
+
+    Binds once, at ``accelerator``'s PE count or, where the cluster
+    hierarchy does not fit it, at the
+    :func:`~repro.engines.binding.pes_per_top_cluster` PEs one top-level
+    sub-cluster spans. The L1 requirement, the innermost chunk's working
+    set, is PE-independent. The L2 requirement depends on the PE count
+    only through the top level's width ``W = num_pes //
+    pes_per_top_cluster``: it is computed once per ``W``, on the bound
+    top level moved to that width
+    (:meth:`~repro.engines.binding.BoundLevel.at_width`). ``tensors``,
+    when given, holds ``layer``'s tensor analyses by coordinate
+    representation; facts of one run share them through it.
+
+    :meth:`peak_bytes` equals ``compute_capacity_bounds(dataflow, layer,
+    accelerator)``'s ``(l1.peak_bytes, l2.peak_bytes)`` bit for bit, and
+    raises where it raises: construction raises where binding fails at
+    every PE count, and :meth:`peak_bytes` raises
+    :class:`~repro.errors.BindingError` where the cluster hierarchy does
+    not fit the PE count. It reads the buffering and element size of
+    the accelerator it is given. ``verify --check capacity`` replays
+    this equality at 16, 64, 256 and 512 PEs.
+    """
+
+    def __init__(
+        self,
+        dataflow: Dataflow,
+        layer: Layer,
+        accelerator: Accelerator,
+        tensors: Optional[Dict[Tuple[str, str], TensorAnalysis]] = None,
+    ) -> None:
+        self._dataflow = dataflow
+        self._layer = layer
+        self._pes_per_top = pes_per_top_cluster(dataflow, layer)
+        bound = bind_dataflow(
+            dataflow,
+            layer,
+            replace(accelerator, num_pes=max(accelerator.num_pes, self._pes_per_top)),
+        )
+        reps = (bound.row_rep, bound.col_rep)
+        if tensors is None:
+            tensors = {}
+        if reps not in tensors:
+            tensors[reps] = analyze_tensors(layer, *reps)
+        self._tensors = tensors[reps]
+        self._top = bound.levels[0]
+        self._l1 = working_set(self._tensors, bound.innermost().chunk_sizes())
+        #: Top-level width -> L2 working set (elements).
+        self._l2: Dict[int, int] = {}
+
+    def peak_bytes(self, accelerator: Accelerator) -> Tuple[int, int]:
+        """The ``(L1, L2)`` peak bytes on ``accelerator``."""
+        width = top_level_width(
+            self._dataflow, self._layer, self._pes_per_top, accelerator.num_pes
+        )
+        l2 = self._l2.get(width)
+        if l2 is None:
+            top = self._top if width == self._top.width else self._top.at_width(width)
+            l2 = self._l2[width] = l2_working_set(
+                self._tensors, level_unique_volumes(top, self._tensors)
+            )
+        return buffer_req(self._l1, accelerator), buffer_req(l2, accelerator)

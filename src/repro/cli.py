@@ -266,7 +266,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for layer in layers:
         try:
             report = analyze_layer(layer, dataflow, accelerator)
-        except Exception as error:  # surfaced per-layer, sweep continues
+        except DataflowError as error:  # surfaced per-layer, sweep continues
             rows.append([layer.name, "-", "-", "-", "-", f"error: {error}"])
             continue
         rows.append(
@@ -375,7 +375,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             assert layer is not None
             try:
                 analysis = classify_dataflow(dataflow, layer, accelerator)
-            except Exception as error:
+            except DataflowError as error:
                 print(f"comm: mapping does not bind ({error}); no analysis")
             else:
                 print()
@@ -390,7 +390,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             assert layer is not None
             try:
                 certificate = classify_roofline(dataflow, layer, accelerator)
-            except Exception as error:
+            except DataflowError as error:
                 print(f"capacity: mapping does not bind ({error}); no analysis")
             else:
                 print()

@@ -15,10 +15,10 @@ Eyeriss-style diagonal mappings (Figure 6, Table 3's YR-P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.dataflow.dataflow import Dataflow
+from repro.dataflow.dataflow import Dataflow, LevelSpec
 from repro.obs import inc
 from repro.dataflow.directives import MapDirective, evaluate_size
 from repro.errors import BindingError
@@ -96,6 +96,24 @@ class BoundLevel:
         """Per-step, per-sub-unit mapped chunk size for every dimension."""
         return {d.dim: d.size for d in self.directives}
 
+    def at_width(self, width: int) -> "BoundLevel":
+        """This level spread over ``width`` sub-units instead.
+
+        Only the fold geometry (the spatial directives' steps, ``folds``
+        and ``avg_active``) depends on the width; chunk sizes and offsets
+        do not. So the top level of a binding at one PE count, moved to
+        the width another PE count gives it, equals that binding's top
+        level.
+        """
+        folds, avg_active = fold_geometry(self.spatial_chunks, width)
+        return replace(
+            self,
+            width=width,
+            directives=_folded(self.directives, folds),
+            folds=folds,
+            avg_active=avg_active,
+        )
+
     def directive_for(self, dim: str) -> BoundDirective:
         for directive in self.directives:
             if directive.dim == dim:
@@ -150,6 +168,56 @@ def _relevant_dims(dataflow: Dataflow, layer: Layer) -> Tuple[List[str], str, st
     return dims, row_rep, col_rep
 
 
+def _cluster_sizes(
+    dataflow: Dataflow, layer: Layer, level_specs: List[LevelSpec], full_sizes: Mapping[str, int]
+) -> List[int]:
+    """The evaluated ``Cluster`` sizes, outermost first."""
+    sizes = []
+    for spec in level_specs[:-1]:
+        size = evaluate_size(spec.cluster_size, full_sizes)
+        if size < 1:
+            raise BindingError(
+                f"{dataflow.name} on {layer.name}: cluster size {size} < 1"
+            )
+        sizes.append(size)
+    return sizes
+
+
+def pes_per_top_cluster(dataflow: Dataflow, layer: Layer) -> int:
+    """PEs one top-level sub-cluster spans: the product of the cluster sizes.
+
+    The only part of the cluster hierarchy the PE count does not set;
+    raises :class:`BindingError` where :func:`bind_dataflow` would
+    whatever the PE count.
+    """
+    return prod(_cluster_sizes(dataflow, layer, dataflow.levels(), layer.all_dim_sizes()))
+
+
+def top_level_width(dataflow: Dataflow, layer: Layer, pes_per_top: int, num_pes: int) -> int:
+    """Top-level sub-clusters on ``num_pes`` PEs; raises when not even one fits."""
+    if pes_per_top > num_pes:
+        raise BindingError(
+            f"{dataflow.name} on {layer.name}: cluster hierarchy needs "
+            f"{pes_per_top} PEs but only {num_pes} exist"
+        )
+    return num_pes // pes_per_top
+
+
+def fold_geometry(spatial_chunks: int, width: int) -> Tuple[int, float]:
+    """``(folds, avg_active)`` of ``spatial_chunks`` joint chunks over ``width`` sub-units.
+
+    The chunks fold ``ceil(spatial_chunks / width)`` times in time, and
+    ``avg_active`` sub-units do useful work per fold on average,
+    counting the partially filled last fold. A level with no spatial map
+    has one chunk, so one fold and one active sub-unit: nothing
+    distinguishes its sub-units. With ``width == 1`` every fold holds
+    one chunk. ``spatial_chunks / folds`` never exceeds ``width``, so no
+    clamp is needed.
+    """
+    folds = ceil_div(spatial_chunks, width)
+    return folds, spatial_chunks / folds
+
+
 def bind_dataflow(
     dataflow: Dataflow, layer: Layer, accelerator: Accelerator
 ) -> BoundDataflow:
@@ -159,22 +227,9 @@ def bind_dataflow(
     full_sizes = layer.all_dim_sizes()
     level_specs = dataflow.levels()
 
-    cluster_sizes = []
-    for spec in level_specs[:-1]:
-        size = evaluate_size(spec.cluster_size, full_sizes)
-        if size < 1:
-            raise BindingError(
-                f"{dataflow.name} on {layer.name}: cluster size {size} < 1"
-            )
-        cluster_sizes.append(size)
-
+    cluster_sizes = _cluster_sizes(dataflow, layer, level_specs, full_sizes)
     pes_per_top_cluster = prod(cluster_sizes)
-    if pes_per_top_cluster > accelerator.num_pes:
-        raise BindingError(
-            f"{dataflow.name} on {layer.name}: cluster hierarchy needs "
-            f"{pes_per_top_cluster} PEs but only {accelerator.num_pes} exist"
-        )
-    top_width = accelerator.num_pes // pes_per_top_cluster
+    top_width = top_level_width(dataflow, layer, pes_per_top_cluster, accelerator.num_pes)
     widths = [top_width] + cluster_sizes
     used_pes = top_width * pes_per_top_cluster
 
@@ -256,9 +311,6 @@ def _bind_level(
         if directive.spatial:
             spatial_offsets[directive.dim] = offset
             spatial_chunk_counts.append(chunks)
-            steps = ceil_div(chunks, width)
-        else:
-            steps = chunks
         edge_size = local - (chunks - 1) * offset if chunks > 1 else size
         bound.append(
             BoundDirective(
@@ -267,42 +319,16 @@ def _bind_level(
                 size=size,
                 offset=offset,
                 chunks=chunks,
-                steps=steps,
+                steps=chunks,
                 edge_size=max(1, edge_size),
             )
         )
         seen[directive.dim] = size
 
-    # Joint spatial distribution: aligned chunk counts required.
-    if spatial_chunk_counts:
-        spatial_chunks = max(spatial_chunk_counts)
-        if len(set(spatial_chunk_counts)) > 1:
-            # Aligned joint maps normally have matching counts (YR-P);
-            # tolerate mismatch by folding on the largest count.
-            spatial_chunks = max(spatial_chunk_counts)
-        folds = ceil_div(spatial_chunks, width)
-        # Every spatial directive folds together; normalize their steps.
-        bound = [
-            BoundDirective(
-                dim=d.dim,
-                spatial=d.spatial,
-                size=d.size,
-                offset=d.offset,
-                chunks=d.chunks,
-                steps=folds if d.spatial else d.steps,
-                edge_size=d.edge_size,
-            )
-            for d in bound
-        ]
-    else:
-        spatial_chunks = 1
-        folds = 1
-
-    avg_active = spatial_chunks / folds if width > 1 else 1.0
-    avg_active = min(float(width), avg_active)
-    if width > 1 and not spatial_chunk_counts:
-        # Nothing distinguishes the sub-units: only one does useful work.
-        avg_active = 1.0
+    # Joint spatial distribution: aligned joint maps normally have
+    # matching chunk counts (YR-P); a mismatch folds on the largest.
+    spatial_chunks = max(spatial_chunk_counts, default=1)
+    folds, avg_active = fold_geometry(spatial_chunks, width)
 
     # Inferred directives for unmapped dims: a single full-size chunk,
     # placed outermost (position is irrelevant because steps == 1).
@@ -323,10 +349,21 @@ def _bind_level(
     return BoundLevel(
         index=index,
         width=width,
-        directives=tuple(inferred) + tuple(bound),
+        # Every spatial directive folds together: its steps are the folds.
+        directives=tuple(inferred) + _folded(bound, folds),
         local_sizes=dict(local_sizes),
         spatial_offsets=spatial_offsets,
         spatial_chunks=spatial_chunks,
         folds=folds,
         avg_active=avg_active,
+    )
+
+
+def _folded(directives: Iterable[BoundDirective], folds: int) -> Tuple[BoundDirective, ...]:
+    """``directives`` with every spatial directive's steps set to ``folds``."""
+    return tuple(
+        BoundDirective(d.dim, True, d.size, d.offset, d.chunks, folds, d.edge_size)
+        if d.spatial
+        else d
+        for d in directives
     )

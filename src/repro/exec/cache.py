@@ -351,6 +351,10 @@ class BatchKeyer:
         self._dataflows: Dict[
             Tuple[int, int], Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]
         ] = {}
+        #: Class key -> its :meth:`class_id`.
+        self._class_ids: Dict["Key", int] = {}
+        #: (layer id, dataflow id, PE count) -> :meth:`class_id`.
+        self._class_of: Dict[Tuple[int, int, int], int] = {}
 
     def _entry(
         self, layer: Layer, dataflow: Dataflow
@@ -369,6 +373,21 @@ class BatchKeyer:
     def keying(self, layer: Layer, dataflow: Dataflow) -> _DataflowKeying:
         """The (layer, dataflow) pair's canonical form and keying rules."""
         return self._entry(layer, dataflow)[2]
+
+    def class_id(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> int:
+        """A small int naming the pair's equivalence class at ``num_pes`` PEs.
+
+        Equal ids mean equal :meth:`_DataflowKeying.class_key`; each
+        pair's class, with its integer-activity certificate, is computed
+        and its key hashed once per PE count.
+        """
+        memo = (id(layer), id(dataflow), num_pes)
+        class_id = self._class_of.get(memo)
+        if class_id is None:
+            class_key = self.keying(layer, dataflow).class_key(num_pes)
+            class_id = self._class_ids.setdefault(class_key, len(self._class_ids))
+            self._class_of[memo] = class_id
+        return class_id
 
     def _dataflow_fragment(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> str:
         _, _, keying, by_pes = self._entry(layer, dataflow)

@@ -9,12 +9,14 @@ requirements). A rejected candidate is credited to the first screen
 that rejects it. A screen with no statistics field in a scope
 (:meth:`Option.field`) has no keyword or CLI flag there.
 
-Each :class:`Screen` computes one *fact* per mapping variant (per
-variant and PE count for the monotone buffer screens) and makes a cheap
-per-point decision from it on the point's
+Each :class:`Screen` computes one *fact* per mapping variant and makes
+a cheap per-point decision from it on the point's
 :class:`~repro.hardware.accelerator.Accelerator`; screens with the same
-fact function share it. A :class:`ScreenRunner` owns the order, the
-memo of facts, the ``screen.<name>`` span around each fact, the
+fact function share it. A fact that answers every PE count of the
+variant (the capacity fact binds the mapping once) is read at each
+point's PE count by the screen's ``at_pes``, once per PE count. A
+:class:`ScreenRunner` owns the order, the memo of facts, the
+``screen.<name>`` span around each fact, the
 ``{dse,tuner}.pruned_by_<name>`` counters, and the one soundness catch:
 an analyzer that raises never rejects. The candidate is kept and counted
 under ``screen.uncertified.<name>``.
@@ -50,7 +52,7 @@ the cost-model call for its twins.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro import obs
@@ -61,6 +63,8 @@ from repro.hardware.accelerator import Accelerator
 from repro.model.layer import Layer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.capacity import VariantCapacity
+    from repro.engines.tensor_analysis import TensorAnalysis
     from repro.equiv.canonical import CanonicalForm
 
 _LOG = logging.getLogger(__name__)
@@ -84,6 +88,11 @@ class ScreenContext:
     #: A keyer that has already canonicalized the run's mappings on
     #: ``layer`` (the tuner's); the lint screen then reads its forms.
     keyer: Optional[BatchKeyer] = None
+    #: ``layer``'s tensor analyses by coordinate representation, filled
+    #: and shared by the run's capacity facts.
+    tensors: Dict[Tuple[str, str], "TensorAnalysis"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,11 @@ class Screen(Option):
     rejects: Callable[[Any, Accelerator, ScreenContext], bool]
     #: Whether the screen applies to a run at all.
     when: Callable[[ScreenContext], bool] = lambda ctx: True
-    #: The fact depends on the PE count, and a reject at (P PEs, B
-    #: bandwidth) implies a reject at every point with more PEs and at
-    #: least as much bandwidth.
-    monotone: bool = False
+    #: ``(fact, accelerator) -> fact at the accelerator's PE count`` for
+    #: a fact that answers every PE count of its variant; may raise,
+    #: which leaves that PE count uncertified. ``None`` when the fact is
+    #: the decision's input as it is.
+    at_pes: Optional[Callable[[Any, Accelerator], Any]] = None
 
 
 def lint_fact(
@@ -177,11 +187,14 @@ def _comm_fact(dataflow: Dataflow, accelerator: Accelerator, context: ScreenCont
 
 def _capacity_fact(
     dataflow: Dataflow, accelerator: Accelerator, context: ScreenContext
-) -> Tuple[int, int]:
-    from repro.capacity import compute_capacity_bounds
+) -> "VariantCapacity":
+    from repro.capacity import VariantCapacity
 
-    bounds = compute_capacity_bounds(dataflow, context.layer, accelerator)
-    return bounds.l1.peak_bytes, bounds.l2.peak_bytes
+    return VariantCapacity(dataflow, context.layer, accelerator, context.tensors)
+
+
+def _capacity_at(capacity: "VariantCapacity", accelerator: Accelerator) -> Tuple[int, int]:
+    return capacity.peak_bytes(accelerator)
 
 
 def _over_budget(
@@ -253,11 +266,13 @@ SCREENS: Tuple[Screen, ...] = (
     # Capacity: the static occupancy analyzer reproduces the engine's
     # L1/L2 requirements bit-for-bit from the binding alone, and they go
     # to the caller's own buffer filter, so the screen rejects exactly
-    # the points the filter would reject after evaluation. The bounds
-    # never read the NoC, so one fact serves every bandwidth. Area and
-    # power grow with bandwidth and PE count while L1 is PE-independent
-    # and L2 never shrinks as the array grows, so a reject also covers
-    # every larger point of the same variant (``monotone``).
+    # the points the filter would reject after evaluation. The fact
+    # binds each variant once: L1 does not depend on the PE count, and
+    # L2 depends on it only through the top level's fold geometry, so
+    # ``at_pes`` reads both off that one binding (``VariantCapacity``).
+    # The bounds never read the NoC, so one PE count's requirements
+    # serve every bandwidth. A point whose PE count cannot bind stays
+    # uncertified and is kept.
     Screen(
         name="capacity",
         keyword="capacity_prune",
@@ -270,7 +285,7 @@ SCREENS: Tuple[Screen, ...] = (
         fact=_capacity_fact,
         rejects=_over_budget,
         when=_has_budget,
-        monotone=True,
+        at_pes=_capacity_at,
     ),
     # Symbolic (tuner only): the tuner analyzes one layer on one
     # accelerator, a point box on which the abstract interpreter's L1/L2
@@ -290,7 +305,7 @@ SCREENS: Tuple[Screen, ...] = (
         fact=_capacity_fact,
         rejects=_over_budget,
         when=_has_budget,
-        monotone=True,
+        at_pes=_capacity_at,
     ),
 )
 
@@ -333,8 +348,6 @@ class ScreenRunner:
         #: (fact function, variant[, PE count]) -> fact; screens that
         #: share a fact function share its entries.
         self._facts: Dict[Hashable, Any] = {}
-        #: (screen, variant) -> bandwidth -> smallest rejected PE count.
-        self._floors: Dict[Hashable, Dict[int, int]] = {}
 
     def reject(self, variant: Hashable, dataflow: Dataflow, accelerator: Accelerator) -> bool:
         """Whether an enabled screen rejects ``dataflow`` on ``accelerator``.
@@ -342,43 +355,53 @@ class ScreenRunner:
         Points naming the same ``variant`` share each screen's fact.
         """
         for screen in self.screens:
-            if screen.monotone:
-                rejected = self._monotone_rejects(screen, variant, dataflow, accelerator)
-            else:
-                rejected = self._rejects(screen, (screen.fact, variant), dataflow, accelerator)
-            if rejected:
+            fact = self._fact(screen, variant, dataflow, accelerator)
+            if fact is _UNCERTIFIED:
+                obs.inc(f"screen.uncertified.{screen.name}")
+            elif screen.rejects(fact, accelerator, self.context):
                 self.rejects[screen.name] += 1
                 return True
         return False
 
-    def _rejects(
-        self, screen: Screen, key: Hashable, dataflow: Dataflow, accelerator: Accelerator
-    ) -> bool:
+    def _fact(
+        self, screen: Screen, variant: Hashable, dataflow: Dataflow, accelerator: Accelerator
+    ) -> Any:
+        """The screen's fact for the point: memoized per variant, and per
+        PE count as well for a screen that reads it there (``at_pes``)."""
+        if screen.at_pes is None:
+            return self._variant_fact(screen, variant, dataflow, accelerator)
+        key = (screen.fact, variant, accelerator.num_pes)
+        point = self._facts.get(key, _MISSING)
+        if point is _MISSING:
+            point = self._variant_fact(screen, variant, dataflow, accelerator)
+            if point is not _UNCERTIFIED:
+                point = self._certify(screen, dataflow, screen.at_pes, point, accelerator)
+            self._facts[key] = point
+        return point
+
+    def _variant_fact(
+        self, screen: Screen, variant: Hashable, dataflow: Dataflow, accelerator: Accelerator
+    ) -> Any:
+        key = (screen.fact, variant)
         fact = self._facts.get(key, _MISSING)
         if fact is _MISSING:
-            with obs.span(f"screen.{screen.name}"):
-                try:
-                    fact = screen.fact(dataflow, accelerator, self.context)
-                except Exception:  # soundness: an analyzer failure never prunes
-                    _LOG.debug("%s: %s uncertified", screen.name, dataflow.name, exc_info=True)
-                    fact = _UNCERTIFIED
-            self._facts[key] = fact
-        if fact is _UNCERTIFIED:
-            obs.inc(f"screen.uncertified.{screen.name}")
-            return False
-        return screen.rejects(fact, accelerator, self.context)
+            fact = self._facts[key] = self._certify(
+                screen, dataflow, screen.fact, dataflow, accelerator, self.context
+            )
+        return fact
 
-    def _monotone_rejects(
-        self, screen: Screen, variant: Hashable, dataflow: Dataflow, accelerator: Accelerator
-    ) -> bool:
-        pes, bandwidth = accelerator.num_pes, accelerator.noc.bandwidth
-        floors = self._floors.setdefault((screen.name, variant), {})
-        if any(b <= bandwidth and p <= pes for b, p in floors.items()):
-            return True
-        if not self._rejects(screen, (screen.fact, variant, pes), dataflow, accelerator):
-            return False
-        floors[bandwidth] = min(floors.get(bandwidth, pes), pes)
-        return True
+    @staticmethod
+    def _certify(
+        screen: Screen, dataflow: Dataflow, function: Callable[..., Any], *args: Any
+    ) -> Any:
+        """``function(*args)`` in the screen's span; an analyzer that
+        raises leaves the fact uncertified, so it never prunes."""
+        with obs.span(f"screen.{screen.name}"):
+            try:
+                return function(*args)
+            except Exception:  # soundness: an analyzer failure never prunes
+                _LOG.debug("%s: %s uncertified", screen.name, dataflow.name, exc_info=True)
+                return _UNCERTIFIED
 
     def finish(self) -> Dict[str, int]:
         """Publish the per-screen counters; return rejects by statistics field."""
@@ -420,17 +443,20 @@ def equiv_quotient(
     extended to the layer's symmetry orbit only where the
     integer-activity certificate proves transposed twins bit-identical
     at that PE count, so every replayed outcome equals what the cost
-    model would have returned. ``keyer`` is a batch keyer that has
-    already canonicalized the candidates (the tuner's); by default a
-    fresh one canonicalizes each distinct mapping once.
+    model would have returned. Each mapping's class is computed once per
+    PE count and named by a small int (:meth:`BatchKeyer.class_id`), so
+    a grid point's key is its site and that int, not a nested class key.
+    ``keyer`` is a batch keyer that has already canonicalized the
+    candidates (the tuner's); by default a fresh one canonicalizes each
+    distinct mapping once.
     """
     keyer = keyer if keyer is not None else BatchKeyer()
     replay_of: Dict[int, int] = {}
     with obs.span("screen.equiv"):
         representatives: Dict[Hashable, int] = {}
         for index, (dataflow, num_pes, site) in enumerate(candidates):
-            class_key = keyer.keying(layer, dataflow).class_key(num_pes)
-            representative = representatives.setdefault((site, class_key), index)
+            class_id = keyer.class_id(layer, dataflow, num_pes)
+            representative = representatives.setdefault((site, class_id), index)
             if representative != index:
                 replay_of[index] = representative
     obs.inc(f"{scope}.pruned_by_equiv", len(replay_of))

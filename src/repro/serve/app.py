@@ -254,7 +254,7 @@ class AnalysisServer:
                 raise HttpError(408, "timed out reading request")
             if request is None:
                 return
-            route_name, status = await self._dispatch(request, writer)
+            route_name, status = await self._dispatch(request, reader, writer)
         except HttpError as error:
             status = error.status
             try:
@@ -287,7 +287,7 @@ class AnalysisServer:
                 pass
 
     async def _dispatch(
-        self, request: Request, writer: asyncio.StreamWriter
+        self, request: Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Tuple[str, int]:
         """Route one request; returns (route-name, status) for metrics."""
         method, path = request.method, request.path.rstrip("/") or "/"
@@ -305,7 +305,7 @@ class AnalysisServer:
             return "shutdown", 202
         kind = path[len("/v1/") :] if path.startswith("/v1/") else ""
         if method == "POST" and kind in protocol.JOB_KINDS:
-            return kind, await self._h_job(kind, request, writer)
+            return kind, await self._h_job(kind, request, reader, writer)
 
         handler = self._routes.get((method, path))
         if handler is None:
@@ -324,7 +324,11 @@ class AnalysisServer:
     # Jobs: admit, validate, single-flight, execute, subscribe
     # ------------------------------------------------------------------
     async def _h_job(
-        self, kind: str, request: Request, writer: asyncio.StreamWriter
+        self,
+        kind: str,
+        request: Request,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> int:
         """Answer one ``POST /v1/{kind}``; returns the status for metrics.
 
@@ -334,6 +338,14 @@ class AnalysisServer:
         as a JSON body (raised as an :class:`HttpError` when the job
         failed) or, for a dse job with ``"stream": true``, as the last
         line of an NDJSON stream of every event.
+
+        A stream watches ``reader`` for the client's EOF. One that
+        arrives after a ``front`` event was written is a hang-up: the
+        request ends at once (as a ``ConnectionResetError``), so the
+        last subscriber's leaving cancels the sweep before its next
+        shard. An earlier EOF is a client that half-closed after its
+        request, and it still gets the whole stream; a client that hangs
+        up before the first ``front`` is noticed when a write to it fails.
         """
         if self._draining:
             raise HttpError(503, "server is draining")
@@ -352,16 +364,32 @@ class AnalysisServer:
             record.followers += 1
             obs.inc("serve.singleflight_hits")
         stream = NDJSONStream(writer) if norm.get("stream") else None
+        hangup = asyncio.ensure_future(_until_eof(reader)) if stream is not None else None
+        front_sent = False
         queue = record.subscribe()
         try:
             while True:
-                event = await queue.get()
+                if hangup is None:
+                    event = await queue.get()
+                else:
+                    getter = asyncio.ensure_future(queue.get())
+                    await asyncio.wait((getter, hangup), return_when=asyncio.FIRST_COMPLETED)
+                    if not getter.done():
+                        getter.cancel()
+                        if front_sent:
+                            raise ConnectionResetError("client closed the stream")
+                        hangup = None  # a half-close: the client still reads
+                        continue
+                    event = getter.result()
                 if stream is not None:
                     await stream.emit(event)
+                    front_sent = front_sent or event["event"] == "front"
                 if event["event"] in _TERMINAL:
                     break
         finally:
             record.unsubscribe(queue)
+            if hangup is not None:
+                hangup.cancel()
         failed = event["event"] == "error"
         if stream is not None:
             return int(event["status"]) if failed else 200
@@ -656,6 +684,15 @@ class AnalysisServer:
 
 #: Stream-reader limit floor; must exceed the largest request head.
 MAX_HEADER_LIMIT = 256 * 1024
+
+
+async def _until_eof(reader: asyncio.StreamReader) -> None:
+    """Return once the client sends EOF or its connection fails."""
+    try:
+        while await reader.read(65536):
+            pass  # the request was read; anything after it is ignored
+    except (ConnectionError, OSError):
+        pass
 
 
 async def serve_main(config: ServeConfig) -> None:

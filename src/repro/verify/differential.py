@@ -31,7 +31,9 @@ reports every disagreement as a :class:`Mismatch`:
   (:mod:`repro.capacity`) are replayed against the analytical engine's
   sizing and runtime, against the simulator's occupancy walk, and
   against the interval interpreter's point-box L1/L2 requirements,
-  which must be the same exact points.
+  which must be the same exact points; the capacity screen's
+  one-binding-per-mapping fact is replayed against the bounds at
+  16/64/256/512 PEs.
 - ``gate`` — the serve lint gate's errors-only pass
   (:func:`~repro.lint.engine.lint_errors`) claims the full lint's
   verdict; it is replayed against ``lint_dataflow`` at several PE
@@ -453,7 +455,8 @@ def _screen_facts(dataflow: Dataflow, layer: Layer, accelerator: Accelerator) ->
     """The lint, verify, comm and capacity facts of one mapping.
 
     Each is computed by its :data:`repro.screens.SCREENS` entry (the
-    symbolic screen reads the capacity fact, so it adds none). An
+    symbolic screen reads the capacity fact, so it adds none), and read
+    at ``accelerator``'s PE count where the entry has ``at_pes``. An
     analyzer that raises reads as its exception type, whatever the type:
     the screen runner keeps such a candidate, and its twins must raise
     alike.
@@ -468,7 +471,10 @@ def _screen_facts(dataflow: Dataflow, layer: Layer, accelerator: Accelerator) ->
             continue
         computed.append(screen.fact)
         try:
-            facts[screen.name] = screen.fact(dataflow, accelerator, context)
+            fact = screen.fact(dataflow, accelerator, context)
+            if screen.at_pes is not None:
+                fact = screen.at_pes(fact, accelerator)
+            facts[screen.name] = fact
         except Exception as error:  # the screen runner's soundness catch, mirrored
             facts[screen.name] = f"raises {type(error).__name__}"
     return facts
@@ -978,17 +984,61 @@ def _check_abstract(
     ]
 
 
+#: PE counts at which the capacity check replays the screen's
+#: one-binding fact against a binding at each count.
+VARIANT_PES = (16, 64, 256, 512)
+
+
+def _or_raises(compute: Callable[[], Any]) -> Any:
+    """``compute()``, or ``"raises"`` where the mapping cannot bind."""
+    try:
+        return compute()
+    except DataflowError:
+        return "raises"
+
+
+def _check_variant(dataflow: Dataflow, layer: Layer) -> List[Mismatch]:
+    """Oracle 4: the capacity screen's fact, one binding per mapping
+    (:class:`~repro.capacity.VariantCapacity`), against
+    :func:`~repro.capacity.compute_capacity_bounds` at each of
+    :data:`VARIANT_PES`: equal ``(L1, L2)`` peaks, and a raise at the
+    same PE counts (``variant peaks``)."""
+    from repro.capacity import CapacityBounds, VariantCapacity, compute_capacity_bounds
+
+    capacity = _or_raises(
+        lambda: VariantCapacity(dataflow, layer, Accelerator(num_pes=VARIANT_PES[0]))
+    )
+    mismatches: List[Mismatch] = []
+    for pes in VARIANT_PES:
+        accelerator = Accelerator(num_pes=pes)
+        claimed = capacity
+        if isinstance(capacity, VariantCapacity):
+            claimed = _or_raises(lambda: capacity.peak_bytes(accelerator))
+        oracle = bounds = _or_raises(lambda: compute_capacity_bounds(dataflow, layer, accelerator))
+        if isinstance(bounds, CapacityBounds):
+            oracle = (bounds.l1.peak_bytes, bounds.l2.peak_bytes)
+        if claimed != oracle:
+            mismatches.append(
+                Mismatch("capacity", f"{pes} PEs", "variant peaks", claimed, oracle)
+            )
+    return mismatches
+
+
 def _capacity(dataflow: Dataflow, layer: Layer) -> Outcome:
     """The capacity bounds and roofline floors on 64 PEs against the
     analytical engine, the simulator's occupancy walk and the interval
-    interpreter's point-box requirements."""
+    interpreter's point-box requirements, and the screen's per-mapping
+    fact against the bounds at :data:`VARIANT_PES`."""
     from repro.capacity.roofline import classify_roofline
 
     accelerator = Accelerator(num_pes=64)
+    variant_mismatches = _check_variant(dataflow, layer)
     try:
         roofline = classify_roofline(dataflow, layer, accelerator)
     except DataflowError:
-        return {"unbound": 1}, _check_abstract(None, dataflow, layer, accelerator)
+        return {"unbound": 1}, (
+            variant_mismatches + _check_abstract(None, dataflow, layer, accelerator)
+        )
     bounds = roofline.bounds
     engine_exact, mismatches = _check_engine(
         bounds, roofline, dataflow, layer, accelerator
@@ -1000,7 +1050,7 @@ def _capacity(dataflow: Dataflow, layer: Layer) -> Outcome:
         "occupancy_states": states,
         "absint_exact": int(not absint_mismatches),
     }
-    return counts, mismatches + sim_mismatches + absint_mismatches
+    return counts, mismatches + sim_mismatches + absint_mismatches + variant_mismatches
 
 
 # ----------------------------------------------------------------------

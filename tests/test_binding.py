@@ -5,7 +5,7 @@ import pytest
 from repro.dataflow.dataflow import dataflow
 from repro.dataflow.directives import St, Sz, spatial_map, temporal_map
 from repro.dataflow.library import kc_partitioned, yr_partitioned, yx_partitioned
-from repro.engines.binding import bind_dataflow
+from repro.engines.binding import bind_dataflow, fold_geometry, pes_per_top_cluster
 from repro.errors import BindingError
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import conv2d
@@ -117,6 +117,27 @@ class TestSpatialFolding:
         assert inner.folds == 1
         assert inner.spatial_offsets[D.Y] == 1
         assert inner.spatial_offsets[D.R] == 1
+
+
+    @pytest.mark.parametrize("chunks,width", [(16, 4), (8, 6), (8, 64), (1, 16), (7, 1)])
+    def test_fold_geometry(self, chunks, width):
+        folds, avg_active = fold_geometry(chunks, width)
+        assert folds == -(-chunks // width)
+        assert avg_active == (chunks / folds if width > 1 else 1.0)
+        assert avg_active <= width
+
+    @pytest.mark.parametrize(
+        "flow", [kc_partitioned(c_tile=8), yr_partitioned(), yx_partitioned()],
+        ids=["KC-P", "YR-P", "YX-P"],
+    )
+    def test_top_level_at_another_width_equals_its_binding(self, layer, flow):
+        """Only the top level's fold geometry depends on the PE count."""
+        base = bind_dataflow(flow, layer, Accelerator(num_pes=64))
+        per_top = pes_per_top_cluster(flow, layer)
+        for pes in (per_top, 2 * per_top + 1, 100, 256, 1024):
+            bound = bind_dataflow(flow, layer, Accelerator(num_pes=pes))
+            assert base.levels[0].at_width(pes // per_top) == bound.levels[0]
+            assert base.levels[1:] == bound.levels[1:]
 
 
 class TestStrideHandling:

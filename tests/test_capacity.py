@@ -7,7 +7,9 @@ Covers the four certified claims the subsystem makes:
 - the bounds are monotone in the mapping's tile sizes (Hypothesis);
 - the roofline floors never exceed the engine's modeled runtime;
 - capacity-based search pruning is sound — DSE and tuner results are
-  bit-identical with and without the screen.
+  bit-identical with and without the screen, whose one binding per
+  mapping variant (``VariantCapacity``) answers every PE count exactly
+  as a binding at that count does.
 
 Plus the DF5xx lint rules and the ``nearest_rule`` suggestion helper.
 """
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.capacity import (
     CAPACITY_PROVENANCE,
+    VariantCapacity,
     classify_roofline,
     compute_capacity_bounds,
 )
@@ -180,6 +183,37 @@ class TestCrosscheck:
         assert report.ok, report.render()
         assert report.counts == {"unbound": 1}
 
+    def test_a_variant_fact_off_at_one_pe_count_is_a_mismatch(self, layer, monkeypatch):
+        """The check replays the screen's one-binding fact at 16, 64, 256
+        and 512 PEs; a fact wrong at one of them is reported there."""
+        peak_bytes = VariantCapacity.peak_bytes
+
+        def off_at_256(self, accelerator):
+            l1, l2 = peak_bytes(self, accelerator)
+            return (l1, l2 + 1) if accelerator.num_pes == 256 else (l1, l2)
+
+        monkeypatch.setattr(VariantCapacity, "peak_bytes", off_at_256)
+        (report,) = run("capacity", [(layer, kc_partitioned())])
+        assert [(m.subject, m.quantity) for m in report.mismatches] == [
+            ("256 PEs", "variant peaks")
+        ]
+
+    def test_a_variant_fact_that_binds_where_the_bounds_raise_is_a_mismatch(
+        self, layer, monkeypatch
+    ):
+        import repro.capacity.bounds
+
+        flow = parse_dataflow("SpatialMap(1,1) K\nCluster(128)\nSpatialMap(1,1) C", name="wide")
+        def never_raises(dataflow, layer, pes_per_top, num_pes):
+            return max(num_pes // pes_per_top, 1)
+
+        monkeypatch.setattr(repro.capacity.bounds, "top_level_width", never_raises)
+        (report,) = run("capacity", [(layer, flow)])
+        assert {(m.subject, m.oracle) for m in report.mismatches} == {
+            ("16 PEs", "raises"),
+            ("64 PEs", "raises"),
+        }
+
     def test_interval_bind_failure_alone_is_a_mismatch(self, layer, monkeypatch):
         import repro.absint
 
@@ -230,6 +264,156 @@ class TestDsePruning:
 
         result = explore(layer, space, area_budget=3.0, power_budget=1e9)
         assert result.statistics.capacity_rejects == 0
+
+
+#: The layers of the benchmark's dse-grid workload (every slot's choices).
+DSE_GRID_LAYERS = (
+    ("vgg16", "CONV2"),
+    ("vgg16", "CONV11"),
+    ("resnet50", "CONV2_1b"),
+    ("resnet50", "CONV3_2a"),
+    ("resnet50", "CONV4_1b"),
+    ("mobilenet_v2", "BN2_1_expand"),
+    ("mobilenet_v2", "BN3_1_dw"),
+    ("unet", "DOWN2_1"),
+    ("unet", "DOWN4_1"),
+    ("unet", "UP2_2"),
+)
+
+
+def _peaks_or_raise(compute):
+    try:
+        return compute()
+    except BindingError:
+        return "raises"
+
+
+class TestVariantCapacity:
+    """One binding per mapping answers every PE count bit-for-bit."""
+
+    @pytest.mark.parametrize("model,layer_name", DSE_GRID_LAYERS)
+    def test_equals_the_bounds_at_every_swept_pe_count(self, model, layer_name):
+        from repro.dse.space import kc_partitioned_variants, yr_partitioned_variants
+
+        layer = build(model).layer(layer_name)
+        raised = 0
+        for _, flow in kc_partitioned_variants() + yr_partitioned_variants():
+            capacity = VariantCapacity(flow, layer, Accelerator(num_pes=16))
+            for pes in range(16, 513, 16):
+                accelerator = Accelerator(num_pes=pes)
+
+                def bounds():
+                    bounds = compute_capacity_bounds(flow, layer, accelerator)
+                    return bounds.l1.peak_bytes, bounds.l2.peak_bytes
+
+                oracle = _peaks_or_raise(bounds)
+                claimed = _peaks_or_raise(lambda: capacity.peak_bytes(accelerator))
+                assert claimed == oracle, (flow.name, pes)
+                raised += oracle == "raises"
+        # The four 64-PE KC-P hierarchies do not fit 16, 32 or 48 PEs, and
+        # the four 32-PE ones do not fit 16.
+        assert raised == 4 * 3 + 4
+
+    def test_raises_only_where_the_hierarchy_does_not_fit(self, layer):
+        flow = parse_dataflow(
+            "SpatialMap(1,1) K\nTemporalMap(64,64) C\nCluster(64)\nSpatialMap(1,1) C",
+            name="wide",
+        )
+        capacity = VariantCapacity(flow, layer, Accelerator(num_pes=16))
+        for pes in (16, 32, 63, 64, 100, 128, 256):
+            for double_buffered in (True, False):
+                accelerator = Accelerator(num_pes=pes, double_buffered=double_buffered)
+
+                def bounds():
+                    bounds = compute_capacity_bounds(flow, layer, accelerator)
+                    return bounds.l1.peak_bytes, bounds.l2.peak_bytes
+
+                oracle = _peaks_or_raise(bounds)
+                assert _peaks_or_raise(lambda: capacity.peak_bytes(accelerator)) == oracle
+                assert (oracle == "raises") == (pes < 64)
+
+    def test_a_mapping_that_never_binds_raises_on_construction(self, layer):
+        flow = parse_dataflow("SpatialMap(1,1) K\nSpatialMap(1,1) K", name="twice")
+        with pytest.raises(BindingError):
+            compute_capacity_bounds(flow, layer, Accelerator(num_pes=64))
+        with pytest.raises(BindingError):
+            VariantCapacity(flow, layer, Accelerator(num_pes=64))
+
+    def test_a_capacity_sweep_binds_each_variant_once(self, monkeypatch):
+        import repro.capacity.bounds
+        from repro.dse import explore
+        from repro.dse.space import (
+            DesignSpace,
+            default_bandwidths,
+            default_pe_counts,
+            kc_partitioned_variants,
+        )
+
+        layer = build("vgg16").layer("CONV2")
+        variants = kc_partitioned_variants()
+        space = DesignSpace(default_pe_counts(512, 16), default_bandwidths(128), variants)
+        bound = []
+        bind = repro.capacity.bounds.bind_dataflow
+
+        def counting(dataflow, layer, accelerator):
+            bound.append(dataflow.name)
+            return bind(dataflow, layer, accelerator)
+
+        monkeypatch.setattr(repro.capacity.bounds, "bind_dataflow", counting)
+        result = explore(layer, space, 16.0, 450.0, cache=False, capacity_prune=True)
+        assert result.statistics.capacity_rejects > 0
+        assert sorted(bound) == sorted(flow.name for _, flow in variants)
+
+    def test_a_sweeps_facts_share_the_layers_tensor_analyses(self, monkeypatch):
+        """One tensor analysis per coordinate representation, not one per
+        variant: a tune holds hundreds of capacity facts at once."""
+        import repro.capacity.bounds
+        from repro.dse import explore
+        from repro.dse.space import (
+            DesignSpace,
+            kc_partitioned_variants,
+            yr_partitioned_variants,
+        )
+
+        layer = build("vgg16").layer("CONV2")
+        variants = kc_partitioned_variants() + yr_partitioned_variants()
+        space = DesignSpace([64, 256], [4, 64], variants)
+        resolved = []
+        analyze = repro.capacity.bounds.analyze_tensors
+
+        def counting(layer, row_rep, col_rep):
+            resolved.append((row_rep, col_rep))
+            return analyze(layer, row_rep, col_rep)
+
+        monkeypatch.setattr(repro.capacity.bounds, "analyze_tensors", counting)
+        explore(layer, space, 16.0, 450.0, cache=False, capacity_prune=True)
+        assert 0 < len(resolved) == len(set(resolved)) < len(variants)
+
+    def test_explorer_keeps_points_whose_pe_count_cannot_bind(self, layer):
+        """Without the lint screen, the capacity screen meets PE counts
+        the hierarchy does not fit: it counts them uncertified and keeps
+        them, and the sweep is unchanged."""
+        from repro import obs
+        from repro.dse import explore
+        from repro.dse.space import DesignSpace
+
+        flow = parse_dataflow(
+            "SpatialMap(1,1) K\nTemporalMap(64,64) C\nCluster(32)\nSpatialMap(1,1) C",
+            name="wide",
+        )
+        space = DesignSpace([16, 32, 64, 128], [4, 16], [("wide", flow)])
+        plain = explore(layer, space, 3.0, 1e9, cache=False, static_lint=False)
+        obs.configure(enabled=True, reset=True)
+        try:
+            screened = explore(
+                layer, space, 3.0, 1e9, cache=False, static_lint=False, capacity_prune=True
+            )
+            uncertified = obs.counter_value("screen.uncertified.capacity")
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert screened.points == plain.points
+        assert uncertified == 2  # 16 PEs x 2 bandwidths
+        assert screened.statistics.capacity_rejects > 0
 
 
 class TestTunerPruning:

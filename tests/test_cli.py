@@ -5,6 +5,11 @@ import pytest
 from repro.cli import main
 
 
+#: A mapping whose cluster hierarchy needs 128 PEs: it binds on no
+#: smaller accelerator.
+WIDE = "SpatialMap(1,1) K\nTemporalMap(64,64) C\nCluster(128)\nSpatialMap(1,1) C\n"
+
+
 class TestAnalyze:
     def test_single_layer(self, capsys):
         assert main(["analyze", "--model", "vgg16", "--layer", "CONV2",
@@ -27,6 +32,28 @@ class TestAnalyze:
     def test_unknown_dataflow_exits(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--model", "vgg16", "--dataflow", "nope"])
+
+    def test_non_binding_mapping_prints_its_row(self, tmp_path, capsys):
+        path = tmp_path / "wide.df"
+        path.write_text(WIDE)
+        assert main(["analyze", "--model", "alexnet", "--layer", "CONV1",
+                     "--dataflow", str(path), "--pes", "64"]) == 0
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("CONV1")]
+        assert "error:" in row and "needs 128 PEs" in row
+
+    def test_an_analyzer_bug_propagates(self, monkeypatch):
+        """Only a ``DataflowError`` is a per-layer row; any other
+        exception out of the cost model is a bug."""
+        import repro.cli
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("analyzer bug")
+
+        monkeypatch.setattr(repro.cli, "analyze_layer", broken)
+        with pytest.raises(RuntimeError, match="analyzer bug"):
+            main(["analyze", "--model", "alexnet", "--layer", "CONV1",
+                  "--dataflow", "KC-P", "--pes", "64"])
 
     def test_detail_report(self, capsys):
         assert main(["analyze", "--model", "vgg16", "--layer", "CONV13",
@@ -117,6 +144,33 @@ class TestLint:
                      "--layer", "CONV1", flag]) == 1
         analysis = flag.lstrip("-")
         assert f"{analysis}: mapping does not parse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--comm", "--capacity"])
+    def test_non_binding_mapping_prints_its_line(self, tmp_path, capsys, flag):
+        path = tmp_path / "wide.df"
+        path.write_text(WIDE)
+        assert main(["lint", str(path), "--model", "alexnet",
+                     "--layer", "CONV1", "--pes", "64", flag]) == 1
+        analysis = flag.lstrip("-")
+        out = capsys.readouterr().out
+        assert f"{analysis}: mapping does not bind" in out
+        assert "needs 128 PEs" in out
+
+    @pytest.mark.parametrize(
+        "flag,module,name",
+        [("--comm", "repro.comm", "classify_dataflow"),
+         ("--capacity", "repro.capacity", "classify_roofline")],
+    )
+    def test_an_analyzer_bug_propagates(self, monkeypatch, flag, module, name):
+        """Only a ``DataflowError`` means "does not bind"."""
+        import importlib
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("analyzer bug")
+
+        monkeypatch.setattr(importlib.import_module(module), name, broken)
+        with pytest.raises(RuntimeError, match="analyzer bug"):
+            main(["lint", "KC-P", "--model", "alexnet", "--layer", "CONV1", flag])
 
     def test_a_parser_bug_propagates(self, tmp_path, monkeypatch):
         """Only a ``DataflowError`` means "does not parse"; any other

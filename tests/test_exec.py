@@ -46,7 +46,7 @@ from repro.exec import (
     model_version_salt,
     resolve_cache,
 )
-from repro.exec.cache import canonical_directives
+from repro.exec.cache import BatchKeyer, canonical_directives
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.hetero import SubAccelerator, analyze_heterogeneous
@@ -402,6 +402,38 @@ class TestBatchCacheKeys:
             for accelerator in accelerators
         }
         assert {True, False} <= outcomes
+
+    def test_class_ids_name_class_keys_once_per_pe_count(self, monkeypatch):
+        """Equal class ids mean equal class keys, and each (mapping, PE
+        count) pair runs the integer-activity certificate once."""
+        import repro.equiv.symmetry
+
+        layer = build("vgg16").layer("CONV2")
+        variants = kc_partitioned_variants() + yr_partitioned_variants()
+        pe_counts = default_pe_counts(max_pes=512, step=16)
+        certified = []
+        certify = repro.equiv.symmetry.integral_active
+
+        def counting(form, num_pes):
+            certified.append(num_pes)
+            return certify(form, num_pes)
+
+        monkeypatch.setattr(repro.equiv.symmetry, "integral_active", counting)
+        keyer = BatchKeyer()
+        ids = {}
+        for _ in range(2):
+            for label, flow in variants:
+                for pes in pe_counts:
+                    class_id = keyer.class_id(layer, flow, pes)
+                    assert ids.setdefault((label, pes), class_id) == class_id
+        assert len(certified) == len(variants) * len(pe_counts)
+        keys = {
+            (label, pes): BatchKeyer().keying(layer, flow).class_key(pes)
+            for label, flow in variants
+            for pes in pe_counts
+        }
+        for a, b in ((a, b) for a in ids for b in ids if a[1] == b[1]):
+            assert (ids[a] == ids[b]) == (keys[a] == keys[b])
 
     def test_non_square_layer(self):
         layer = conv2d("non-square", k=16, c=8, y=12, x=20, r=3, s=1)

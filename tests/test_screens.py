@@ -208,7 +208,7 @@ class TestUncertified:
     def test_tuner_keeps_candidates_when_symbolic_raises(self, monkeypatch):
         """The symbolic screen's fact is the capacity fact: alone or beside
         the capacity screen, a raising analyzer rejects nothing, and with
-        both screens on it is called once per cache-key class of the
+        both screens on it binds once per cache-key class of the
         candidates the lint screen passes (each candidate still counts as
         uncertified)."""
         import repro.capacity
@@ -233,7 +233,7 @@ class TestUncertified:
             calls.append(args)
             self._raise()
 
-        monkeypatch.setattr(repro.capacity, "compute_capacity_bounds", raising)
+        monkeypatch.setattr(repro.capacity, "VariantCapacity", raising)
         for screens in ({"symbolic_prune": True}, {"symbolic_prune": True, "capacity_prune": True}):
             calls.clear()
             obs.configure(enabled=True, reset=True)
@@ -259,7 +259,7 @@ class TestUncertified:
             dataflow_variants=kc_partitioned_variants(c_tiles=(4, 16)),
         )
         plain = explore(layer, space, 16.0, 450.0, cache=False)
-        monkeypatch.setattr(repro.capacity, "compute_capacity_bounds", self._raise)
+        monkeypatch.setattr(repro.capacity, "VariantCapacity", self._raise)
         obs.configure(enabled=True, reset=True)
         screened = explore(layer, space, 16.0, 450.0, cache=False, capacity_prune=True)
         assert screened.statistics.capacity_rejects == 0

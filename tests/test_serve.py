@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -316,6 +317,84 @@ class TestLifecycle:
             with pytest.raises(ServeError) as excinfo:
                 locked.shutdown()
             assert excinfo.value.status == 404
+
+
+class TestStreamHangup:
+    """A streaming client that closes its socket cancels the sweep at the
+    next shard; one that only half-closes after its request still gets
+    the whole stream."""
+
+    JOB = dict(DSE_JOB, layer="CONV5", max_pes=128, shards=4)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts shard sweeps; each takes at least 0.3 s, so a client's
+        close lands while the second shard runs."""
+        import repro.serve.shards
+
+        calls = []
+        sweep = repro.serve.shards.explore
+
+        def slow(*args, **kwargs):
+            calls.append(1)
+            result = sweep(*args, **kwargs)
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(repro.serve.shards, "explore", slow)
+        return calls
+
+    @staticmethod
+    def _open_stream(port, half_close):
+        body = json.dumps(dict(TestStreamHangup.JOB, stream=True)).encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=60.0)
+        sock.sendall(
+            b"POST /v1/dse HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        stream = sock.makefile("rb")
+        assert stream.readline().startswith(b"HTTP/1.1 200")
+        while stream.readline() not in (b"\r\n", b""):
+            pass  # response head
+        return sock, stream
+
+    @staticmethod
+    def _finished_job(client):
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            (job,) = [j for j in client.jobs()["jobs"] if j["kind"] == "dse"]
+            if job["state"] not in ("queued", "running"):
+                return job
+            time.sleep(0.05)
+        raise AssertionError("the dse job never finished")
+
+    def test_close_after_the_first_front_cancels_before_the_next_shard(self, calls):
+        with ThreadedServer(ServeConfig(port=0, cache=False)) as threaded:
+            client = ServeClient(port=threaded.port, timeout=60.0)
+            sock, stream = self._open_stream(threaded.port, half_close=False)
+            while json.loads(stream.readline())["event"] != "front":
+                pass
+            stream.close()
+            sock.close()
+            job = self._finished_job(client)
+        # The second shard starts before the first front is written; the
+        # close cancels the sweep before the third (4 calls without the
+        # hang-up watch).
+        assert len(calls) == 2
+        assert job["state"] == "cancelled"
+
+    def test_half_closed_client_gets_the_whole_stream(self, calls):
+        with ThreadedServer(ServeConfig(port=0, cache=False)) as threaded:
+            sock, stream = self._open_stream(threaded.port, half_close=True)
+            events = [json.loads(line) for line in stream]
+            stream.close()
+            sock.close()
+        kinds = [event["event"] for event in events]
+        assert kinds == ["accepted"] + ["front"] * 4 + ["result"]
+        assert len(calls) == 4
 
 
 class TestJobRecord:

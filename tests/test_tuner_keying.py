@@ -90,9 +90,9 @@ def test_equiv_check_reports_a_screen_fact_mismatch(monkeypatch, grid):
     against both twins, and nothing else would."""
     import repro.capacity
 
-    def by_spelling(dataflow, layer, accelerator):
-        peak = SimpleNamespace(peak_bytes=repr(dataflow.directives))
-        return SimpleNamespace(l1=peak, l2=peak)
+    def by_spelling(dataflow, layer, accelerator, tensors=None):
+        peak = repr(dataflow.directives)
+        return SimpleNamespace(peak_bytes=lambda accelerator: (peak, peak))
 
     layer = build("resnet50").layer("CONV3_1a")
     flow = grid[0]
@@ -100,7 +100,7 @@ def test_equiv_check_reports_a_screen_fact_mismatch(monkeypatch, grid):
         {"canonical_changed": 1, "transposed_checked": 1},
         [],
     )
-    monkeypatch.setattr(repro.capacity, "compute_capacity_bounds", by_spelling)
+    monkeypatch.setattr(repro.capacity, "VariantCapacity", by_spelling)
     mismatches = differential._equiv(flow, layer)[1]
     assert {m.quantity for m in mismatches} == {"screen.capacity"}
     assert {m.subject for m in mismatches} == {"canonical", "transposed"}
@@ -164,18 +164,18 @@ def test_one_tune_keys_each_candidate_once(monkeypatch, grid):
 
     canonicalized, capacity = [], []
     canonicalize = repro.equiv.canonical.canonicalize
-    bounds = repro.capacity.compute_capacity_bounds
+    bounds = repro.capacity.VariantCapacity
 
     def counting_canonicalize(dataflow, layer):
         canonicalized.append(dataflow.name)
         return canonicalize(dataflow, layer)
 
-    def counting_bounds(dataflow, layer, accelerator):
+    def counting_bounds(dataflow, layer, accelerator, tensors=None):
         capacity.append(dataflow.name)
-        return bounds(dataflow, layer, accelerator)
+        return bounds(dataflow, layer, accelerator, tensors)
 
     monkeypatch.setattr(repro.equiv.canonical, "canonicalize", counting_canonicalize)
-    monkeypatch.setattr(repro.capacity, "compute_capacity_bounds", counting_bounds)
+    monkeypatch.setattr(repro.capacity, "VariantCapacity", counting_bounds)
     for cache in (AnalysisCache(), False):
         canonicalized.clear()
         capacity.clear()
