@@ -1,6 +1,7 @@
 """Wall-clock floors: vector-engine speedup, engine phase shares, and the
 weekly large-size floors (the last include the zoo x tuner grid twin
-check, which the weekly workflow runs as its own job).
+check, which the weekly workflow runs as its own job, and the zoo-wide
+digests of the canonical forms and bindings).
 
 These floors depend on timing, or take too long for the tier-1 suite.
 The deterministic floors they extend are defined once, in
@@ -31,6 +32,7 @@ from repro.model.zoo import MODELS, build
 from repro.obs.profile import phase_timings
 from repro.vector import evaluate_grid, lower_group
 from tests.test_floors import assert_floor
+from tests.test_template_golden import forms_and_bindings_digests
 from tests.test_tuner_keying import assert_twins_share_screen_facts, tuner_grid
 from tests.test_vector_parity import assert_fig13_parity, fig13_grid
 
@@ -113,6 +115,27 @@ def test_zoo_tuner_grid_twins_share_screen_facts(num_pes):
         (layer, flow) for model in sorted(MODELS) for layer in build(model).layers for flow in grid
     ]
     assert assert_twins_share_screen_facts(pairs, num_pes) > 0
+
+
+@pytest.mark.parametrize(
+    "expected",
+    [
+        pytest.param(
+            (
+                "9914ab7465dfc050c36e7b4ea2ef145615d4dbb0de57eaf02429ac2bcc3f7676",
+                "17c2b7e7b57b21ff047db4c7a0262ce1ab8c6839e9f61e05b0f9eff2fb8a3086",
+            ),
+            id="weekly",
+        )
+    ],
+)
+def test_zoo_forms_and_bindings_match_golden(expected):
+    """The canonical forms and 256-PE bindings of every zoo layer x
+    (tuner grid + stock library), 430,486 pairs, digested as
+    ``tests/test_template_golden.py`` digests its six layers: the shape
+    plans and the per-directive memo change no output."""
+    layers = [layer for model in sorted(MODELS) for layer in build(model).layers]
+    assert forms_and_bindings_digests(layers) == expected
 
 
 def test_phase_shares_match_baseline():

@@ -267,11 +267,9 @@ class VariantCapacity:
         self._dataflow = dataflow
         self._layer = layer
         self._pes_per_top = pes_per_top_cluster(dataflow, layer)
-        bound = bind_dataflow(
-            dataflow,
-            layer,
-            replace(accelerator, num_pes=max(accelerator.num_pes, self._pes_per_top)),
-        )
+        if accelerator.num_pes < self._pes_per_top:
+            accelerator = replace(accelerator, num_pes=self._pes_per_top)
+        bound = bind_dataflow(dataflow, layer, accelerator)
         reps = (bound.row_rep, bound.col_rep)
         if tensors is None:
             tensors = {}

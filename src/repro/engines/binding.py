@@ -15,8 +15,9 @@ Eyeriss-style diagonal mappings (Figure 6, Table 3's YR-P).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.dataflow.dataflow import Dataflow, LevelSpec
 from repro.obs import inc
@@ -157,6 +158,73 @@ class BoundDataflow:
     _num_pes: int = 0
 
 
+#: At most this many memoized directive facts per layer; the memo is
+#: cleared when full.
+_MAX_FACTS = 256
+
+#: A map directive's evaluated fact over one local extent:
+#: ``(size, offset, chunks, bound, directive)``, where ``bound`` is the
+#: directive bound at ``steps == chunks`` (``None`` when binding raises).
+DirectiveFact = Tuple[int, int, int, Optional[BoundDirective], MapDirective]
+
+
+class LayerFacts:
+    """One layer's extents and strides, and the map directives evaluated against them.
+
+    A map directive's evaluated fact depends only on the layer, the
+    directive and the local extent it maps: its size and offset are
+    evaluated against the layer's full extents and strides, the size is
+    clamped to the local extent, and the chunk count and edge size
+    follow from those three numbers. :meth:`fact` computes it, and the
+    bound directive built from it, once per (directive, local extent).
+    The binder and the canonical walk (:mod:`repro.equiv.canonical`)
+    read the same facts, so the tiles of one tuner template, which
+    share their directive objects, evaluate each directive once per
+    extent. :func:`layer_facts` hands out one instance per layer.
+
+    The memo is keyed by the directive's identity and holds a reference
+    to the directive, so no id can be recycled while its entry lives.
+    It is bounded: cleared when it holds ``_MAX_FACTS`` entries.
+    """
+
+    def __init__(self, layer: Layer) -> None:
+        self.full_sizes: Dict[str, int] = layer.all_dim_sizes()
+        self.strides: Dict[str, int] = {D.Y: layer.stride[0], D.X: layer.stride[1]}
+        self._facts: Dict[Tuple[int, int], DirectiveFact] = {}
+
+    def fact(self, directive: MapDirective, local: int) -> DirectiveFact:
+        """``directive`` over a local extent of ``local``.
+
+        ``size`` is clamped to ``local``. When ``size`` or ``offset`` is
+        below 1, binding raises: ``chunks`` is 0 and ``bound`` ``None``.
+        Raises what :func:`~repro.dataflow.directives.evaluate_size`
+        raises for a size that cannot be evaluated.
+        """
+        key = (id(directive), local)
+        fact = self._facts.get(key)
+        if fact is None:
+            size = min(evaluate_size(directive.size, self.full_sizes, self.strides), local)
+            offset = evaluate_size(directive.offset, self.full_sizes, self.strides)
+            chunks = 0
+            bound: Optional[BoundDirective] = None
+            if size >= 1 and offset >= 1:
+                chunks = num_chunks(local, size, offset)
+                edge_size = max(1, local - (chunks - 1) * offset) if chunks > 1 else size
+                bound = BoundDirective(
+                    directive.dim, directive.spatial, size, offset, chunks, chunks, edge_size
+                )
+            if len(self._facts) >= _MAX_FACTS:
+                self._facts.clear()
+            fact = self._facts[key] = (size, offset, chunks, bound, directive)
+        return fact
+
+
+@functools.lru_cache(maxsize=64)
+def layer_facts(layer: Layer) -> LayerFacts:
+    """The :class:`LayerFacts` of ``layer`` (one per equal layer, 64 at most)."""
+    return LayerFacts(layer)
+
+
 def _relevant_dims(dataflow: Dataflow, layer: Layer) -> Tuple[List[str], str, str]:
     """The dimension names this binding tracks, plus axis representations."""
     row_rep = "output" if dataflow.uses_output_coordinates("row") else "input"
@@ -190,7 +258,7 @@ def pes_per_top_cluster(dataflow: Dataflow, layer: Layer) -> int:
     raises :class:`BindingError` where :func:`bind_dataflow` would
     whatever the PE count.
     """
-    return prod(_cluster_sizes(dataflow, layer, dataflow.levels(), layer.all_dim_sizes()))
+    return prod(_cluster_sizes(dataflow, layer, dataflow.levels(), layer_facts(layer).full_sizes))
 
 
 def top_level_width(dataflow: Dataflow, layer: Layer, pes_per_top: int, num_pes: int) -> int:
@@ -224,7 +292,8 @@ def bind_dataflow(
     """Bind ``dataflow`` to ``layer`` on ``accelerator``; see module doc."""
     inc("binding.dataflows_bound")
     dims, row_rep, col_rep = _relevant_dims(dataflow, layer)
-    full_sizes = layer.all_dim_sizes()
+    facts = layer_facts(layer)
+    full_sizes = facts.full_sizes
     level_specs = dataflow.levels()
 
     cluster_sizes = _cluster_sizes(dataflow, layer, level_specs, full_sizes)
@@ -243,9 +312,8 @@ def bind_dataflow(
     # jointly with a unit offset meaning "next input row"): on strided
     # layers the inner walk advanced ``stride`` rows per PE and skipped
     # output rows — the coverage gap the iteration-space verifier
-    # refuted on all strided zoo layers.
-    strides = {D.Y: layer.stride[0], D.X: layer.stride[1]}
-
+    # refuted on all strided zoo layers. ``facts.strides`` holds the
+    # layer stride that ``St(Y)``/``St(X)`` read.
     local_sizes: Dict[str, int] = {dim: full_sizes[dim] for dim in dims}
     levels: List[BoundLevel] = []
     for index, spec in enumerate(level_specs):
@@ -254,9 +322,8 @@ def bind_dataflow(
             spec_maps=spec.maps,
             width=widths[index],
             local_sizes=local_sizes,
-            full_sizes=full_sizes,
             dims=dims,
-            strides=strides,
+            facts=facts,
             context=f"{dataflow.name} on {layer.name}, level {index}",
         )
         levels.append(level)
@@ -279,11 +346,16 @@ def _bind_level(
     spec_maps: Tuple[MapDirective, ...],
     width: int,
     local_sizes: Mapping[str, int],
-    full_sizes: Mapping[str, int],
     dims: List[str],
-    strides: Mapping[str, int],
+    facts: LayerFacts,
     context: str,
 ) -> BoundLevel:
+    """Bind one cluster level's maps over ``local_sizes`` on ``width`` sub-units.
+
+    Each directive's size, offset, chunk count and edge size come from
+    ``facts`` (:meth:`LayerFacts.fact`), the memo the canonical walk
+    reads too; checks and errors follow the directive order.
+    """
     bound: List[BoundDirective] = []
     seen: Dict[str, int] = {}
     spatial_offsets: Dict[str, int] = {dim: 0 for dim in dims}
@@ -299,30 +371,18 @@ def _bind_level(
             raise BindingError(
                 f"{context}: dimension {directive.dim} mapped twice in one level"
             )
-        local = local_sizes.get(directive.dim, 1)
-        size = min(evaluate_size(directive.size, full_sizes, strides), local)
-        offset = evaluate_size(directive.offset, full_sizes, strides)
-        if size < 1 or offset < 1:
+        size, offset, chunks, bound_directive, _ = facts.fact(
+            directive, local_sizes.get(directive.dim, 1)
+        )
+        if bound_directive is None:
             raise BindingError(
                 f"{context}: non-positive size/offset on {directive.dim} "
                 f"(size={size}, offset={offset})"
             )
-        chunks = num_chunks(local, size, offset)
         if directive.spatial:
             spatial_offsets[directive.dim] = offset
             spatial_chunk_counts.append(chunks)
-        edge_size = local - (chunks - 1) * offset if chunks > 1 else size
-        bound.append(
-            BoundDirective(
-                dim=directive.dim,
-                spatial=directive.spatial,
-                size=size,
-                offset=offset,
-                chunks=chunks,
-                steps=chunks,
-                edge_size=max(1, edge_size),
-            )
-        )
+        bound.append(bound_directive)
         seen[directive.dim] = size
 
     # Joint spatial distribution: aligned joint maps normally have
@@ -332,31 +392,28 @@ def _bind_level(
 
     # Inferred directives for unmapped dims: a single full-size chunk,
     # placed outermost (position is irrelevant because steps == 1).
-    inferred = [
-        BoundDirective(
-            dim=dim,
-            spatial=False,
-            size=local_sizes.get(dim, 1),
-            offset=local_sizes.get(dim, 1),
-            chunks=1,
-            steps=1,
-            edge_size=local_sizes.get(dim, 1),
-        )
-        for dim in dims
-        if dim not in seen
-    ]
+    inferred = tuple(
+        [_whole_extent(dim, local_sizes.get(dim, 1)) for dim in dims if dim not in seen]
+    )
 
     return BoundLevel(
         index=index,
         width=width,
         # Every spatial directive folds together: its steps are the folds.
-        directives=tuple(inferred) + _folded(bound, folds),
+        directives=inferred + _folded(bound, folds),
         local_sizes=dict(local_sizes),
         spatial_offsets=spatial_offsets,
         spatial_chunks=spatial_chunks,
         folds=folds,
         avg_active=avg_active,
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _whole_extent(dim: str, local: int) -> BoundDirective:
+    """The directive binding infers for an unmapped ``dim``: one chunk of
+    its whole local extent (shared: bound directives are immutable)."""
+    return BoundDirective(dim, False, local, local, 1, 1, local)
 
 
 def _folded(directives: Iterable[BoundDirective], folds: int) -> Tuple[BoundDirective, ...]:

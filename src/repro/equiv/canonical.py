@@ -63,10 +63,11 @@ from repro.dataflow.directives import (
     MapDirective,
     evaluate_size,
 )
+from repro.engines.binding import layer_facts
 from repro.errors import DataflowError
 from repro.model.layer import Layer
 from repro.tensors import dims as D
-from repro.util.intmath import num_chunks, prod
+from repro.util.intmath import prod
 
 #: A hashable, JSON-representable structural key. Canonical keys are
 #: ``("canon", <levels...>)`` with one
@@ -170,22 +171,87 @@ def _fallback(dataflow: Dataflow) -> CanonicalForm:
     )
 
 
-def _split_with_indices(
-    directives: Tuple[Directive, ...],
-) -> List[Tuple[List[Tuple[int, MapDirective]], Optional[Tuple[int, ClusterDirective]]]]:
-    """Cluster levels as ``(indexed maps, closing Cluster)`` groups."""
-    levels: List[
-        Tuple[List[Tuple[int, MapDirective]], Optional[Tuple[int, ClusterDirective]]]
-    ] = []
-    maps: List[Tuple[int, MapDirective]] = []
-    for index, directive in enumerate(directives):
-        if isinstance(directive, ClusterDirective):
-            levels.append((maps, (index, directive)))
-            maps = []
-        elif isinstance(directive, MapDirective):
-            maps.append((index, directive))
-    levels.append((maps, None))
-    return levels
+#: A directive list's *shape*: per directive, ``(dim, spatial)`` for a
+#: map and ``None`` for a ``Cluster``. Sizes and offsets are not part of
+#: it, so the tiles of one tuner template share one shape.
+_Shape = Tuple[Optional[Tuple[str, bool]], ...]
+
+
+@dataclass(frozen=True)
+class _LevelPlan:
+    """One cluster level of a :class:`_ShapePlan`."""
+
+    #: The level's maps as ``(directive index, dim, spatial, kind, names
+    #: Y'/X')``, in directive order.
+    maps: Tuple[Tuple[int, str, bool, str, bool], ...]
+    #: Index of the ``Cluster`` directive closing the level (``None``
+    #: for the innermost level).
+    cluster: Optional[int]
+    #: Whether sorting the spatial slots by dimension moves any of them.
+    reorders: bool
+
+
+@dataclass(frozen=True)
+class _ShapePlan:
+    """Everything the canonical walk knows from a shape alone."""
+
+    #: The coordinate dims binding tracks (Y'/X' where a map names them).
+    dims: Tuple[str, ...]
+    #: How many maps name Y' and X' (the guard's starting counts).
+    rep_counts: Tuple[Tuple[str, int], ...]
+    levels: Tuple[_LevelPlan, ...]
+
+
+def _shape(directives: Tuple[Directive, ...]) -> _Shape:
+    return tuple(
+        [
+            None if isinstance(d, ClusterDirective) else (d.dim, d.spatial)  # type: ignore[attr-defined]
+            for d in directives
+        ]
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(shape: _Shape) -> Optional[_ShapePlan]:
+    """The walk's plan for ``shape``, or ``None`` where binding raises for
+    every directive list of that shape (a map on a dim outside the
+    coordinate dims, or one dim mapped twice in a level)."""
+    rep_counts = {D.YP: 0, D.XP: 0}
+    for entry in shape:
+        if entry is not None and entry[0] in rep_counts:
+            rep_counts[entry[0]] += 1
+    dims = (
+        D.N,
+        D.K,
+        D.C,
+        D.YP if rep_counts[D.YP] else D.Y,
+        D.XP if rep_counts[D.XP] else D.X,
+        D.R,
+        D.S,
+    )
+    levels: List[_LevelPlan] = []
+    maps: List[Tuple[int, str, bool, str, bool]] = []
+    for index, entry in enumerate(shape + (None,)):
+        if entry is not None:
+            dim, spatial = entry
+            if dim not in dims or any(m[1] == dim for m in maps):
+                return None
+            maps.append((index, dim, spatial, _map_kind(spatial), dim in rep_counts))
+            continue
+        spatial_dims = [m[1] for m in maps if m[2]]
+        levels.append(
+            _LevelPlan(
+                maps=tuple(maps),
+                cluster=index if index < len(shape) else None,
+                reorders=spatial_dims != sorted(spatial_dims),
+            )
+        )
+        maps = []
+    return _ShapePlan(
+        dims=dims,
+        rep_counts=tuple((dim, n) for dim, n in rep_counts.items() if n),
+        levels=tuple(levels),
+    )
 
 
 def canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
@@ -196,6 +262,13 @@ def canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
     argument, :mod:`repro.verify.differential` for the empirical proof).
     Falls back to the identity form whenever exactness cannot be
     certified.
+
+    The walk is planned once per directive shape (:func:`_plan`: the
+    level split, the coordinate dims, the Y'/X' guard's counts and
+    whether the spatial slots move), and each directive's evaluated
+    fact comes from the per-layer memo the binder reads
+    (:class:`~repro.engines.binding.LayerFacts`). The candidates of one
+    tuner template therefore pay only per-tile lookups.
     """
     try:
         return _canonicalize(dataflow, layer)
@@ -203,113 +276,73 @@ def canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
         return _fallback(dataflow)
 
 
-#: At most this many memoized sizes per layer; the memo is cleared when full.
-_MAX_VALUES = 1024
-
-
-@functools.lru_cache(maxsize=64)
-def _layer_values(layer: Layer) -> Tuple[Dict[str, int], Dict[str, int], Dict[object, int]]:
-    """``layer``'s extents and strides, and a memo of the symbolic map
-    sizes and offsets already evaluated against them."""
-    return layer.all_dim_sizes(), {D.Y: layer.stride[0], D.X: layer.stride[1]}, {}
-
-
-def _map_value(
-    size: object, full_sizes: Dict[str, int], strides: Dict[str, int], values: Dict[object, int]
-) -> int:
-    """A map size or offset evaluated as binding does, once per (layer, size)."""
-    if type(size) is int:
-        return size
-    value = values.get(size)
-    if value is None:
-        value = evaluate_size(size, full_sizes, strides)  # type: ignore[arg-type]
-        if len(values) >= _MAX_VALUES:
-            values.clear()
-        values[size] = value
-    return value
-
-
 def _canonicalize(dataflow: Dataflow, layer: Layer) -> CanonicalForm:
-    # Representation-selecting directives must survive elision: count
-    # how many map directives name Y'/X' so the guard can keep the last.
-    rep_counts: Dict[str, int] = {D.YP: 0, D.XP: 0}
-    for directive in dataflow.directives:
-        if isinstance(directive, MapDirective) and directive.dim in rep_counts:
-            rep_counts[directive.dim] += 1
-    dims = [D.N, D.K, D.C]
-    dims.append(D.YP if rep_counts[D.YP] else D.Y)
-    dims.append(D.XP if rep_counts[D.XP] else D.X)
-    dims.extend([D.R, D.S])
-
-    full_sizes, strides, values = _layer_values(layer)
-    indexed_levels = _split_with_indices(tuple(dataflow.directives))
-
-    local_sizes: Dict[str, int] = {dim: full_sizes[dim] for dim in dims}
+    directives = dataflow.directives
+    plan = _plan(_shape(directives))
+    if plan is None:
+        return _fallback(dataflow)  # binding raises for this spelling
+    facts = layer_facts(layer)
+    full_sizes = facts.full_sizes
+    local_sizes: Dict[str, int] = {dim: full_sizes[dim] for dim in plan.dims}
+    # Representation-selecting directives must survive elision: the
+    # guard keeps the last map naming Y'/X' even when single-chunk.
+    rep_counts = dict(plan.rep_counts)
     canonical_levels: List[CanonicalLevel] = []
     elided: List[int] = []
     slot_changes: List[Tuple[int, Tuple[str, str, int, int]]] = []
 
-    for maps, cluster in indexed_levels:
-        seen: set = set()
-        kept: List[Tuple[int, str, bool, int, int]] = []
+    for level in plan.levels:
+        #: (directive index, kind, dim, size, offset) of each kept map.
+        kept: List[Tuple[int, str, str, int, int]] = []
         spatial_counts: List[int] = []
-        next_local: Dict[str, int] = {}
-        for index, directive in maps:
-            if directive.dim not in dims or directive.dim in seen:
+        # Mirror BoundLevel.chunk_sizes(): mapped dims carry their
+        # clamped size, unmapped (and elided) dims their local extent.
+        next_local = dict(local_sizes)
+        for index, dim, spatial, kind, names_rep in level.maps:
+            size, offset, chunks, bound, _ = facts.fact(
+                directives[index], local_sizes[dim]  # type: ignore[arg-type]
+            )
+            if bound is None:
                 return _fallback(dataflow)  # binding raises for this spelling
-            seen.add(directive.dim)
-            local = local_sizes.get(directive.dim, 1)
-            size = min(_map_value(directive.size, full_sizes, strides, values), local)
-            offset = _map_value(directive.offset, full_sizes, strides, values)
-            if size < 1 or offset < 1:
-                return _fallback(dataflow)  # binding raises for this spelling
-            next_local[directive.dim] = size
-            chunks = num_chunks(local, size, offset)
-            if not directive.spatial and chunks == 1:
-                if directive.dim in rep_counts and rep_counts[directive.dim] <= 1:
-                    # Keep the representation-selecting directive; its
-                    # presence (not its values) picks the Y'/X' axes.
-                    kept.append((index, directive.dim, False, size, offset))
+            next_local[dim] = size
+            if chunks == 1 and not spatial:
+                if not names_rep or rep_counts[dim] > 1:
+                    if names_rep:
+                        rep_counts[dim] -= 1
+                    elided.append(index)
                     continue
-                if directive.dim in rep_counts:
-                    rep_counts[directive.dim] -= 1
-                elided.append(index)
-                continue
-            if directive.spatial:
+                # Keep the representation-selecting directive; its
+                # presence (not its values) picks the Y'/X' axes.
+            elif spatial:
                 spatial_counts.append(chunks)
-            kept.append((index, directive.dim, directive.spatial, size, offset))
+            kept.append((index, kind, dim, size, offset))
 
-        # Sort the spatial directives into their existing slots by dim.
-        spatial_entries = [entry for entry in kept if entry[2]]
-        ordered_spatial = sorted(spatial_entries, key=lambda e: (e[1], e[3], e[4]))
-        if ordered_spatial != spatial_entries:
+        if level.reorders:
+            # Sort the spatial directives into their existing slots by
+            # (dim, size, offset).
+            spatial_entries = [entry for entry in kept if entry[1] == "S"]
+            ordered = sorted(spatial_entries, key=lambda entry: entry[2:])
             slot_changes.extend(
-                (orig[0], (_map_kind(new[2]), new[1], new[3], new[4]))
-                for orig, new in zip(spatial_entries, ordered_spatial)
+                (orig[0], new[1:])
+                for orig, new in zip(spatial_entries, ordered)
                 if orig[1:] != new[1:]
             )
-            slot = iter(ordered_spatial)
-            kept = [next(slot) if entry[2] else entry for entry in kept]
+            slot = iter(ordered)
+            kept = [next(slot) if entry[1] == "S" else entry for entry in kept]
 
         cluster_size: Optional[int] = None
-        if cluster is not None:
-            cluster_size = evaluate_size(cluster[1].size, full_sizes)
+        if level.cluster is not None:
+            cluster_size = evaluate_size(directives[level.cluster].size, full_sizes)  # type: ignore[attr-defined]
             if cluster_size < 1:
                 return _fallback(dataflow)  # binding raises for this spelling
 
         canonical_levels.append(
             CanonicalLevel(
                 cluster_size=cluster_size,
-                maps=tuple((_map_kind(e[2]), e[1], e[3], e[4]) for e in kept),
+                maps=tuple(entry[1:] for entry in kept),
                 spatial_chunk_counts=tuple(spatial_counts),
             )
         )
-
-        # Mirror BoundLevel.chunk_sizes(): mapped dims carry their
-        # clamped size, unmapped (and elided) dims their local extent.
-        for dim in dims:
-            if dim not in next_local:
-                next_local[dim] = local_sizes.get(dim, 1)
         local_sizes = next_local
 
     # The canonical spelling must itself be constructible to serve as a

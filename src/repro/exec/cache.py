@@ -25,8 +25,10 @@ evaluation point:
 
 :func:`cache_keys` keys a whole batch in one pass, building each key
 from JSON fragments shared between points: a grid varies only the
-hardware, so each (layer, dataflow) pair is canonicalized once. The
-text hashed is byte-identical to :func:`cache_key`'s one-point formula.
+hardware, so each (layer, dataflow) pair is canonicalized once, and the
+pairs of one equivalence class share one class key and one dataflow
+fragment. The text hashed is byte-identical to :func:`cache_key`'s
+one-point formula.
 
 Storage is two-tier: an in-memory LRU (always on) and an optional
 on-disk JSON store, one file per key under
@@ -206,20 +208,57 @@ def _energy_payload(model: EnergyModel) -> Dict[str, Any]:
     }
 
 
+class _KeyClass:
+    """One equivalence class at one PE count, on one layer.
+
+    ``key`` is the class key (:meth:`_DataflowKeying.class_key`);
+    ``fragment`` the dataflow fragment its name-free members share,
+    rendered on first use.
+    """
+
+    __slots__ = ("key", "fragment")
+
+    def __init__(self, key: "Key") -> None:
+        self.key = key
+        self.fragment: Optional[_Fragment] = None
+
+
+class _Fragment:
+    """A rendered dataflow fragment and the cache keys already hashed from it.
+
+    ``keys`` maps ``(id(accelerator), id(energy_model))`` to the key of
+    that hardware; the keyer's fragment tables hold both objects, so no
+    id can be recycled while it lives.
+    """
+
+    __slots__ = ("text", "keys")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.keys: Dict[Tuple[int, int], str] = {}
+
+
 class _DataflowKeying:
     """One (layer, dataflow) pair's key inputs that do not depend on the PE count.
 
     Canonicalizes once on construction; :meth:`class_key` and
-    :meth:`payload` then apply the only two PE-count-dependent rules,
-    computing the orbit-least key at most once. This is the single home
-    of the dataflow keying rules, shared by the one-point and batch
-    paths and by the equivalence quotient of :mod:`repro.screens`.
-    ``symmetries`` is ``layer_symmetries(layer)``, which the caller
-    computes once per layer.
+    :meth:`payload` then apply the only two PE-count-dependent rules.
+    This is the single home of the dataflow keying rules, shared by the
+    one-point and batch paths and by the equivalence quotient of
+    :mod:`repro.screens`. ``symmetries`` is ``layer_symmetries(layer)``
+    and ``classes`` the layer's memo of :class:`_KeyClass` by
+    (canonical key, PE count), both shared by every pair of the layer a
+    keyer sees: pairs with equal canonical keys share one class, so the
+    orbit key and the integer-activity certificate are computed once
+    per class and PE count.
     """
 
     def __init__(
-        self, dataflow: Dataflow, layer: Layer, symmetries: Tuple["DimSymmetry", ...]
+        self,
+        dataflow: Dataflow,
+        layer: Layer,
+        symmetries: Tuple["DimSymmetry", ...],
+        classes: Dict[Tuple["Key", int], _KeyClass],
     ) -> None:
         from repro.equiv.canonical import canonicalize
 
@@ -233,19 +272,31 @@ class _DataflowKeying:
                 "directives": canonical_directives(dataflow, layer),
             }
         self.symmetries = () if self.form.fallback else symmetries
+        self._classes = classes
         self._orbit_key: Optional["Key"] = None
+
+    def key_class(self, num_pes: int) -> _KeyClass:
+        """The pair's class at ``num_pes`` PEs (a non-fallback form only)."""
+        key = self.form.key
+        memo = (key, num_pes)
+        key_class = self._classes.get(memo)
+        if key_class is None:
+            from repro.equiv.symmetry import integral_active, orbit_key
+
+            if self.symmetries and integral_active(self.form, num_pes):
+                if self._orbit_key is None:
+                    self._orbit_key = orbit_key(key, self.symmetries)
+                key = self._orbit_key
+            key_class = self._classes[memo] = _KeyClass(key)
+        return key_class
 
     def class_key(self, num_pes: int) -> "Key":
         """The equivalence class at ``num_pes`` PEs: the canonical key, or
         its orbit-least key where the integer-activity certificate proves
         transposed twins bit-identical at that PE count."""
-        from repro.equiv.symmetry import integral_active, orbit_key
-
-        if self.symmetries and integral_active(self.form, num_pes):
-            if self._orbit_key is None:
-                self._orbit_key = orbit_key(self.form.key, self.symmetries)
-            return self._orbit_key
-        return self.form.key
+        if self.fallback is not None:
+            return self.form.key
+        return self.key_class(num_pes).key
 
     def payload(self, num_pes: int) -> Dict[str, Any]:
         """The dataflow portion of the cache key at ``num_pes`` PEs.
@@ -259,6 +310,16 @@ class _DataflowKeying:
         if self.form.cluster_pes > num_pes:
             payload["name"] = self.name  # binding rejects; message names the mapping
         return payload
+
+    def fragment(self, num_pes: int) -> _Fragment:
+        """The rendered payload at ``num_pes`` PEs, shared by the class
+        when it carries no mapping name."""
+        if self.fallback is not None or self.form.cluster_pes > num_pes:
+            return _Fragment(_dumps(self.payload(num_pes)))  # names the mapping
+        key_class = self.key_class(num_pes)
+        if key_class.fragment is None:
+            key_class.fragment = _Fragment(_dumps({"key": key_class.key}))
+        return key_class.fragment
 
 
 def dataflow_cache_payload(
@@ -332,10 +393,19 @@ class BatchKeyer:
     renders a nested object the same whether or not it is embedded.
     Each distinct layer, energy model and accelerator is serialized
     once, each layer's symmetry group is computed once, and each
-    distinct (layer, dataflow) pair is canonicalized once and its
-    dataflow fragment rendered once per PE count. :meth:`keying` hands
-    out that pair's canonical form, so a caller that keys a batch first
-    (the tuner) quotients it without canonicalizing again.
+    distinct (layer, dataflow) pair is canonicalized once.
+    Pairs of one layer with equal canonical keys share a class record
+    per PE count (:class:`_KeyClass`). It computes the orbit key and the
+    integer-activity certificate once, renders the dataflow fragment
+    once, and hashes the key once per (accelerator, energy model), so
+    the tiles of one tuner template that fall into one class pay a few
+    lookups each. A pair whose payload carries the mapping name renders
+    its own fragment. Only a pair's first point at a PE count consults
+    the class's hashed keys. A hardware grid's later points reuse the
+    pair's fragment and hash their own hardware, with no extra work per
+    point. :meth:`keying` hands out the pair's canonical form, so a
+    caller that keys a batch first (the tuner) quotients it without
+    canonicalizing again.
 
     The memo tables are keyed by object identity and hold a reference to
     every object they key, so no id can be recycled while the keyer is
@@ -347,9 +417,13 @@ class BatchKeyer:
         self._layers: Dict[int, Tuple[Layer, str]] = {}
         self._accelerators: Dict[int, Tuple[Accelerator, str]] = {}
         self._energy: Dict[int, Tuple[EnergyModel, str]] = {}
-        self._symmetries: Dict[int, Tuple[Layer, Tuple["DimSymmetry", ...]]] = {}
+        #: Layer id -> (layer, its symmetries, its class memo).
+        self._layer_classes: Dict[
+            int,
+            Tuple[Layer, Tuple["DimSymmetry", ...], Dict[Tuple["Key", int], _KeyClass]],
+        ] = {}
         self._dataflows: Dict[
-            Tuple[int, int], Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]
+            Tuple[int, int], Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, _Fragment]]
         ] = {}
         #: Class key -> its :meth:`class_id`.
         self._class_ids: Dict["Key", int] = {}
@@ -358,15 +432,15 @@ class BatchKeyer:
 
     def _entry(
         self, layer: Layer, dataflow: Dataflow
-    ) -> Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, str]]:
+    ) -> Tuple[Layer, Dataflow, _DataflowKeying, Dict[int, _Fragment]]:
         entry = self._dataflows.get((id(layer), id(dataflow)))
         if entry is None:
-            symmetries = self._symmetries.get(id(layer))
-            if symmetries is None:
+            shared = self._layer_classes.get(id(layer))
+            if shared is None:
                 from repro.equiv.symmetry import layer_symmetries
 
-                symmetries = self._symmetries[id(layer)] = (layer, layer_symmetries(layer))
-            entry = (layer, dataflow, _DataflowKeying(dataflow, layer, symmetries[1]), {})
+                shared = self._layer_classes[id(layer)] = (layer, layer_symmetries(layer), {})
+            entry = (layer, dataflow, _DataflowKeying(dataflow, layer, shared[1], shared[2]), {})
             self._dataflows[(id(layer), id(dataflow))] = entry
         return entry
 
@@ -389,13 +463,6 @@ class BatchKeyer:
             self._class_of[memo] = class_id
         return class_id
 
-    def _dataflow_fragment(self, layer: Layer, dataflow: Dataflow, num_pes: int) -> str:
-        _, _, keying, by_pes = self._entry(layer, dataflow)
-        fragment = by_pes.get(num_pes)
-        if fragment is None:
-            fragment = by_pes[num_pes] = _dumps(keying.payload(num_pes))
-        return fragment
-
     def key(
         self,
         layer: Layer,
@@ -404,9 +471,31 @@ class BatchKeyer:
         energy_model: EnergyModel,
     ) -> str:
         """The cache key of one point (equal to :func:`cache_key`'s)."""
+        _, _, keying, by_pes = self._entry(layer, dataflow)
+        fragment = by_pes.get(accelerator.num_pes)
+        if fragment is not None:
+            # Another point of this pair at this PE count (a hardware
+            # grid): only the hardware differs, so hash it.
+            return self._hash(layer, fragment.text, accelerator, energy_model)
+        # The pair's first point at this PE count. Its class fragment may
+        # already be keyed on this hardware by another member (the tiles
+        # of one tuner template).
+        fragment = by_pes[accelerator.num_pes] = keying.fragment(accelerator.num_pes)
+        hardware = (id(accelerator), id(energy_model))
+        key = fragment.keys.get(hardware)
+        if key is None:
+            key = fragment.keys[hardware] = self._hash(
+                layer, fragment.text, accelerator, energy_model
+            )
+        return key
+
+    def _hash(
+        self, layer: Layer, dataflow: str, accelerator: Accelerator, energy_model: EnergyModel
+    ) -> str:
+        """SHA-256 of the key text with ``dataflow`` as its dataflow fragment."""
         text = (
             f'{{"accelerator":{_fragment(self._accelerators, accelerator, _accelerator_payload)}'
-            f',"dataflow":{self._dataflow_fragment(layer, dataflow, accelerator.num_pes)}'
+            f',"dataflow":{dataflow}'
             f',"energy":{_fragment(self._energy, energy_model, _energy_payload)}'
             f',"layer":{_fragment(self._layers, layer, _layer_payload)}'
             f',"salt":{self._salt}}}'

@@ -1392,6 +1392,15 @@ def _library_objectives(
         return None
 
 
+def _stock_name(flow: "Dataflow") -> Optional[str]:
+    """The catalog name of the DF403 library mapping ``flow`` is (same
+    name and directives), or ``None``."""
+    for name, lib_flow in _stock_library(include_playground=False):
+        if lib_flow.name == flow.name and lib_flow.directives == flow.directives:
+            return name
+    return None
+
+
 @rule(
     "DF403",
     "mapping statically dominated by a library dataflow",
@@ -1418,11 +1427,18 @@ def _check_statically_dominated(ctx: RuleContext) -> Iterator[Diagnostic]:
     symmetries = layer_symmetries(ctx.layer)
     own_orbit = orbit_key(own_form[1].key, symmetries)
     # One analysis of this mapping serves every comparison; each library
-    # mapping's objectives come from the memo.
-    try:
-        own = objectives(analyze_layer(ctx.layer, flow, ctx.accelerator))
-    except (DataflowError, ValueError):
-        return
+    # mapping's objectives come from the memo, and so do this mapping's
+    # when it is a stock library mapping.
+    stock = _stock_name(flow)
+    if stock is not None:
+        own = _library_objectives(stock, ctx.layer, ctx.accelerator)
+        if own is None:
+            return
+    else:
+        try:
+            own = objectives(analyze_layer(ctx.layer, flow, ctx.accelerator))
+        except (DataflowError, ValueError):
+            return
     for name, lib_flow in _stock_library(include_playground=False):
         if orbit_key(_library_key(name, ctx.layer), symmetries) == own_orbit:
             continue

@@ -59,10 +59,13 @@ _FULL_UTILIZATION = 0.999
 class SymbolicRuleContext:
     """Shared state for one symbolic lint pass.
 
-    The abstract analysis is computed lazily and at most once; a raise
-    is remembered as :attr:`failure` (the abstract engine only raises
-    when *every* concretization in the box fails to bind, so a failure
-    here is itself a range-wide theorem — surfaced as ``DF200``).
+    The abstract analysis is computed lazily and at most once; a
+    :class:`~repro.errors.ReproError` or
+    :class:`~repro.absint.interval.AbstractDomainError` is remembered as
+    :attr:`failure` (the abstract engine only raises those when *every*
+    concretization in the box fails to bind, so a failure here is itself
+    a range-wide theorem — surfaced as ``DF200``). Any other exception
+    is an analyzer bug, not a theorem, and propagates.
     """
 
     dataflow: "Dataflow"
@@ -78,11 +81,13 @@ class SymbolicRuleContext:
     def analysis(self) -> "Optional[AbstractAnalysis]":
         if not self._tried:
             self._tried = True
-            try:
-                from repro.absint.engine import abstract_analyze
+            from repro.absint.engine import abstract_analyze
+            from repro.absint.interval import AbstractDomainError
+            from repro.errors import ReproError
 
+            try:
                 self._analysis = abstract_analyze(self.box, self.dataflow, self.hw)
-            except Exception as exc:
+            except (ReproError, AbstractDomainError) as exc:
                 self._failure = str(exc)
         return self._analysis
 

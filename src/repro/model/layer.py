@@ -103,10 +103,16 @@ class Layer:
                 )
 
     def __hash__(self) -> int:
-        # dims and densities are mapping proxies; equality stays the
-        # dataclass's.
-        items = (tuple(sorted(self.dims.items())), tuple(sorted(self.densities.items())))
-        return hash((self.name, self.operator, self.stride, self.dilation, self.groups, items))
+        # Computed on first use and kept: the analyzers' per-layer memos
+        # hash a layer on every lookup. Copies (``dataclasses.replace``,
+        # unpickling) go through ``__init__`` and hash afresh. dims and
+        # densities are mapping proxies; equality stays the dataclass's.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            items = (tuple(sorted(self.dims.items())), tuple(sorted(self.densities.items())))
+            cached = hash((self.name, self.operator, self.stride, self.dilation, self.groups, items))
+            object.__setattr__(self, "_hash", cached)
+        return cached  # type: ignore[no-any-return]
 
     def __reduce__(self):
         # The normalized dims/densities live in MappingProxyType views,

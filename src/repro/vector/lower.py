@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import evaluate_size
 from repro.engines.analysis import buffer_req, compute_delay, working_set
-from repro.engines.binding import BoundLevel, _bind_level
+from repro.engines.binding import BoundLevel, _bind_level, layer_facts
 from repro.engines.reuse import LevelReuse, analyze_level_reuse
 from repro.engines.tensor_analysis import TensorAnalysis, analyze_tensors
 from repro.errors import BindingError, DataflowError
@@ -359,9 +359,8 @@ def _lower_group(
             spec_maps=spec.maps,
             width=cluster_sizes[index - 1],
             local_sizes=sizes,
-            full_sizes=full_sizes,
             dims=dims,
-            strides=strides,
+            facts=layer_facts(layer),
             context=f"{dataflow.name} on {layer.name}, level {index}",
         )
         inner_levels.append(level)

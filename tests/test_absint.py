@@ -477,6 +477,32 @@ def test_df200_definitely_unbindable_range():
     assert codes == {"DF200"}
 
 
+@pytest.mark.parametrize(
+    "error, propagates",
+    [(BindingError("no member binds"), False), (RuntimeError("analyzer bug"), True)],
+)
+def test_df200_reports_binding_failures_not_analyzer_bugs(monkeypatch, error, propagates):
+    """DF200 claims a range-wide theorem, so only the failures the
+    abstract engine raises for an unbindable box become one; an analyzer
+    bug propagates instead of being reported as DF200."""
+    import repro.absint.engine
+
+    def failing(box, dataflow, hw):
+        raise error
+
+    monkeypatch.setattr(repro.absint.engine, "abstract_analyze", failing)
+    box = ShapeBox.from_layer(LAYER)
+    hw = HardwareBox(num_pes=IntervalInt.point(64), bandwidth=IntervalInt.point(32))
+    flow = table3_dataflows()["C-P"]
+    if propagates:
+        with pytest.raises(RuntimeError, match="analyzer bug"):
+            lint_symbolic(flow, box, hw)
+    else:
+        report = lint_symbolic(flow, box, hw)
+        assert [d.code for d in report.diagnostics] == ["DF200"]
+        assert "no member binds" in report.diagnostics[0].message
+
+
 def test_symbolic_registry_is_df2xx():
     assert set(SYMBOLIC_RULES) == {"DF200", "DF201", "DF202", "DF203"}
     assert all(code.startswith("DF2") for code in SYMBOLIC_RULES)

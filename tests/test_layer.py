@@ -1,5 +1,8 @@
 """Tests for Layer construction, validation, and derived quantities."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import LayerError
@@ -43,6 +46,40 @@ class TestConstruction:
 
     def test_conv_1x1_kernel_becomes_pwconv(self):
         assert conv2d("c", k=8, c=4, y=12, x=12, r=1, s=1).operator.name == "PWCONV"
+
+
+class TestHash:
+    """A layer is hashed once, at construction; every copy stays consistent."""
+
+    def test_equal_layers_hash_equal(self):
+        a = conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3, stride=2)
+        b = conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3, stride=2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3)
+
+    @staticmethod
+    def field_hash(layer):
+        """The hash of the fields equality compares, computed afresh."""
+        items = (tuple(sorted(layer.dims.items())), tuple(sorted(layer.densities.items())))
+        return hash((layer.name, layer.operator, layer.stride, layer.dilation, layer.groups, items))
+
+    def test_hash_matches_the_field_formula(self):
+        layer = conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3)
+        layer = dataclasses.replace(layer, densities={"I": 0.5})
+        assert hash(layer) == self.field_hash(layer)
+
+    def test_pickle_round_trip_keeps_eq_and_hash(self):
+        layer = conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3, stride=2)
+        copy = pickle.loads(pickle.dumps(layer))
+        assert copy == layer and hash(copy) == hash(layer)
+        assert {layer: 1}[copy] == 1
+
+    def test_replace_rehashes(self):
+        layer = conv2d("c", k=8, c=4, y=14, x=14, r=3, s=3)
+        same = dataclasses.replace(layer)
+        other = dataclasses.replace(layer, groups=2)
+        assert same == layer and hash(same) == hash(layer)
+        assert other != layer and hash(other) == self.field_hash(other)
 
 
 class TestValidation:
